@@ -149,3 +149,111 @@ def test_scattered_skew_caught_by_row_sample(tmp_path):
     _write(root, rows, files=4)
     probe = probe_row_groups(root)
     assert probe is not None and probe["suspect"]
+
+
+def _reference_heavy(path, byte_t, span_t, cap):
+    """The census answer computed straight from ``pq.read_table``: every
+    span row exploded with pyarrow, summed per doc in one group_by."""
+    import pyarrow.compute as pc
+
+    t = pq.read_table(path, columns=["doc_id", "spans"])
+    spans = t["spans"].combine_chunks()
+    flat = pc.list_flatten(spans)
+    rows = pa.table({
+        "doc_id": pc.take(t["doc_id"].combine_chunks(),
+                          pc.list_parent_indices(spans)),
+        "b": pc.if_else(pc.equal(flat.field("kind"), "html"),
+                        pc.binary_length(flat.field("text")), 0),
+    })
+    per_doc = rows.group_by("doc_id").aggregate(
+        [("b", "sum"), ("b", "count")]
+    ).to_pylist()
+    ids = sorted(
+        r["doc_id"] for r in per_doc
+        if r["b_sum"] >= byte_t
+        or (span_t is not None and r["b_count"] >= span_t)
+    )
+    return None if len(ids) > cap else ids
+
+
+_SMALL = "<p>" + "word " * 80 + "</p>"  # ~400 B
+_QUARTER = "<p>" + "part " * 20000 + "</p>"  # ~100 kB: 1/4 of a heavy doc
+
+
+def _healthy_rows():
+    return [
+        _row(str(d), [(_SMALL, 0), (_SMALL, len(_SMALL))]) for d in range(120)
+    ]
+
+
+def _split_rows():
+    # one ~400 kB doc as 4 rows of ~100 kB, one row in each file: every
+    # block sees it under the 256 KiB threshold, only the sum crosses it
+    rows = _healthy_rows()
+    for k in range(4):
+        rows.insert(k * 30 + 15, _row("split", [(_QUARTER, k * len(_QUARTER))]))
+    return rows
+
+
+def _span_count_rows():
+    # 5,000 one-byte spans: tiny in bytes, heavy by span count only
+    tiny = [("x", i) for i in range(5000)]
+    return _healthy_rows() + [
+        _row("spanny", tiny[i : i + 1000]) for i in range(0, 5000, 1000)
+    ]
+
+
+def _over_cap_rows():
+    return _healthy_rows()[:40] + [
+        _row(f"big{k}", [(_QUARTER, 0), (_QUARTER, 1), (_QUARTER, 2)])
+        for k in range(3)
+    ]
+
+
+@pytest.mark.parametrize(
+    "rows, span_t, cap, expected",
+    [
+        (_split_rows, None, None, ["split"]),
+        (_span_count_rows, 4096, None, ["spanny"]),
+        (_over_cap_rows, None, 2, None),
+        (_healthy_rows, 4096, None, []),
+    ],
+    ids=["partials-summed-across-blocks", "heavy-by-span-count",
+         "over-cap-is-none", "healthy-is-empty"],
+)
+def test_census_matches_read_table_reference(
+    ray_session, tmp_path, monkeypatch, rows, span_t, cap, expected
+):
+    from web_content_extraction_benchmark_ray.stages import skew
+
+    if cap is not None:
+        monkeypatch.setattr(skew, "HEAVY_MAX_DOCS", cap)
+    path = str(tmp_path / "spans")
+    _write(path, rows(), files=4)
+    byte_t = 256 << 10
+    got = skew.heavy_doc_ids(path, byte_t, span_t)
+    assert got == _reference_heavy(path, byte_t, span_t, skew.HEAVY_MAX_DOCS)
+    assert got == expected
+
+
+def test_census_split_doc_spans_several_read_blocks(ray_session, tmp_path):
+    """Pins the premise of the partials case: the split doc reaches the
+    driver as partials from at least 2 read blocks, none heavy alone."""
+    import ray
+
+    from web_content_extraction_benchmark_ray.sources.storage import read_spans
+    from web_content_extraction_benchmark_ray.stages.skew import block_doc_sizes
+
+    path = str(tmp_path / "spans")
+    _write(path, _split_rows(), files=4)
+    refs = (
+        read_spans(path, columns=["doc_id", "spans"])
+        .map_batches(block_doc_sizes, batch_format="pyarrow", batch_size=None)
+        .to_arrow_refs()
+    )
+    shares = [
+        r["b"] for t in ray.get(refs) for r in t.to_pylist()
+        if r["doc_id"] == "split"
+    ]
+    assert len(shares) >= 2
+    assert max(shares) < 256 << 10 <= sum(shares)

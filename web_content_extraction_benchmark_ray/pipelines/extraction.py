@@ -1,34 +1,28 @@
 """The flagship pipeline: spans table -> reassembly shuffle -> extraction.
 
-Ray shape (SURVEY.md §3.2): ``read_parquet(documents) -> explode ->
-bucketed groupby reassembly -> map_batches(ExtractStage actor pool)``.
-Per-block granularity replaces the reference's coarse (model × dataset)
-process-pool jobs (extract.py:127-161), so retries/skew shrink from "one
-dataset×model" to "one block".
+Ray shape: ``read_spans`` (2 blocks per CPU) -> ``reassemble`` (explode
+-> bucket key -> one sort exchange -> per-partition ``assemble_group``)
+-> ``map_batches(extract_batch)`` as plain-function tasks.  Per-block
+granularity replaces the reference's coarse (model x dataset)
+process-pool jobs, so retries and skew shrink from "one dataset x model"
+to "one block".
 
-Skew handling: bucket count bounds shuffle groups; the extraction stage
-runs with a modest ``batch_size`` so one pathological document never
-pins a batch of thousands of small ones (heavy docs are additionally
-routed to a batch_size=1 lane when ``heavy_lane_bytes`` is set).
+Skew handling is automatic (stages/skew.py): a footer probe and, only
+when it is suspicious, a per-doc size census name the oversized docs;
+those take a salted reassembly and a batch_size=1 extract lane, split
+from the plain lane at the source by a broadcast id predicate.
 """
 from __future__ import annotations
 
 import ray.data
 
+from ..sources.storage import read_spans
 from ..stages.extract import DEFAULT_MODELS, extract_batch
 from ..stages.reassemble import (
     DEFAULT_NUM_BUCKETS,
     reassemble,
     reassemble_salted,
 )
-
-
-def _cpu_budget() -> int:
-    import ray
-
-    if ray.is_initialized():
-        return int(ray.cluster_resources().get("CPU", 4))
-    return 4
 
 
 _ROUTE_CACHE: dict = {}
@@ -97,20 +91,6 @@ def _resolve_heavy_ids_uncached(spans_path, heavy_lane_bytes, salted):
     return ids, salted is True  # "auto": salt only the heavy lane
 
 
-def _read_spans(spans_path, override_num_blocks):
-    # block geometry: ~2 blocks per CPU keeps the sort exchange's fragment
-    # count (mappers x reducers) low at small scale; always capped at the
-    # table's row-group count so the read never synthesizes schema-less
-    # zero-row blocks (sources/storage.py:capped_num_blocks)
-    from ..sources.storage import capped_num_blocks
-
-    requested = override_num_blocks or 2 * _cpu_budget()
-    return ray.data.read_parquet(
-        spans_path,
-        override_num_blocks=capped_num_blocks(spans_path, requested),
-    )
-
-
 def _assemble(ds, spans_path, num_buckets, salted):
     # salted: two-phase skew-resistant reassembly (same output) for inputs
     # with pathological span-count tails — see stages/reassemble.py
@@ -137,7 +117,6 @@ def extraction_pipeline(
     spans_path: str,
     models=DEFAULT_MODELS,
     num_buckets: int = DEFAULT_NUM_BUCKETS,
-    concurrency=None,
     batch_size: int = 64,
     heavy_lane_bytes="auto",
     salted="auto",
@@ -160,10 +139,6 @@ def extraction_pipeline(
         raise ValueError(
             f"unknown extractor(s) {unknown}; available: {list_extractors()}"
         )
-    # `concurrency` is accepted for call-site compatibility: the extract
-    # stage became plain-function tasks in round 2 (an actor pool starved
-    # the adjacent sort — stages/extract.py), so no pool size applies.
-    del concurrency
     heavy_lane_salted = salted is not False  # explicit False wins everywhere
     heavy_ids, salted = _resolve_heavy_ids(spans_path, heavy_lane_bytes, salted)
     if heavy_ids:
@@ -176,16 +151,16 @@ def extraction_pipeline(
         from ..stages.skew import filter_doc_ids
 
         ids_ref = ray.put(heavy_ids)
-        light = _read_spans(spans_path, override_num_blocks).map_batches(
-            filter_doc_ids,
-            fn_kwargs={"ids_ref": ids_ref, "keep": False},
-            batch_format="pyarrow",
-        )
-        heavy = _read_spans(spans_path, override_num_blocks).map_batches(
-            filter_doc_ids,
-            fn_kwargs={"ids_ref": ids_ref, "keep": True},
-            batch_format="pyarrow",
-        )
+
+        def lane(keep: bool):
+            src = read_spans(spans_path, num_blocks=override_num_blocks)
+            return src.map_batches(
+                filter_doc_ids,
+                fn_kwargs={"ids_ref": ids_ref, "keep": keep},
+                batch_format="pyarrow",
+            )
+
+        light, heavy = lane(False), lane(True)
         out_light = _assemble(
             light, spans_path, num_buckets, salted
         ).map_batches(
@@ -205,7 +180,7 @@ def extraction_pipeline(
             batch_size=1,
         )
         return out_light.union(out_heavy)
-    ds = _read_spans(spans_path, override_num_blocks)
+    ds = read_spans(spans_path, num_blocks=override_num_blocks)
     return _assemble(ds, spans_path, num_buckets, salted).map_batches(
         extract_batch,
         fn_kwargs={"models": models},

@@ -105,20 +105,28 @@ def capped_num_blocks(uri: str, requested: int) -> int:
     return max(1, rg)
 
 
-def read_spans(uri: str, blocks_per_cpu: int = 2):
-    """Read a spans/parquet table with block geometry sized to the session:
-    ~blocks_per_cpu blocks per CPU (keeps the reassembly sort exchange
-    cheap at small scale), capped so no zero-row block is ever created."""
+def read_spans(uri: str, columns=None, num_blocks: int | None = None):
+    """Read a spans/parquet table with the session's block geometry.
+
+    ``num_blocks`` defaults to 2 per CPU: few enough that a shuffle's
+    mapper x reducer fragment count stays small at small scale, enough to
+    keep every CPU busy.  The ask is capped at the table's row-group
+    count so no zero-row block is ever created.  The pipeline's reads and
+    the skew census both come through here, so they share one rule."""
     import ray
     import ray.data
 
-    cpus = (
-        int(ray.cluster_resources().get("CPU", 4))
-        if ray.is_initialized()
-        else 4
-    )
+    if not num_blocks:
+        cpus = (
+            int(ray.cluster_resources().get("CPU", 4))
+            if ray.is_initialized()
+            else 4
+        )
+        num_blocks = 2 * cpus
     return ray.data.read_parquet(
-        uri, override_num_blocks=capped_num_blocks(uri, blocks_per_cpu * cpus)
+        uri,
+        columns=columns,
+        override_num_blocks=capped_num_blocks(uri, num_blocks),
     )
 
 

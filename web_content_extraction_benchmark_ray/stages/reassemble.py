@@ -113,17 +113,6 @@ def add_bucket(batch: pa.Table, num_buckets: int = DEFAULT_NUM_BUCKETS) -> pa.Ta
     return batch.append_column("bucket", pa.array(buckets, pa.int32()))
 
 
-class AddBucket:
-    """Callable-class form of add_bucket (kept for call sites that bind
-    the bucket count once, e.g. the checkpoint runner)."""
-
-    def __init__(self, num_buckets: int = DEFAULT_NUM_BUCKETS):
-        self.num_buckets = num_buckets
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return add_bucket(batch, self.num_buckets)
-
-
 def assemble_group(group: pa.Table) -> pa.Table:
     """Reassemble every document in one bucket.  Runs once per bucket as a
     ``groupby('bucket').map_groups`` task.

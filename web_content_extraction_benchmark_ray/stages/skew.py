@@ -15,12 +15,15 @@ default pipeline self-routing, in three escalating steps:
    ratio ~1 and the pipeline stays exactly on the single-lane fast path
    (the probe is the only cost — microseconds of footer reads).
 2. ``heavy_doc_ids`` — run ONLY when the probe is suspicious (or the
-   caller passes an explicit byte threshold): a streaming Ray scan that
-   reduces each doc to two ints (html bytes, span count) per batch
-   (``np.bincount`` over the list parent indices — no per-row Python),
-   aggregates with a native Sum groupby, and collects the ids above
-   threshold.  By the definition of a skew TAIL this set is tiny; a cap
-   guards the degenerate "everything is heavy" corpus, which is not
+   caller passes an explicit byte threshold): a shuffle-free Ray scan.
+   Each read block is reduced to one (doc_id, html bytes, span count)
+   row per doc it holds (``np.bincount`` over the list parent indices,
+   then a pyarrow ``group_by`` sum inside the same read task), and the
+   driver sums those partials with one more pyarrow ``group_by`` and
+   keeps the ids above threshold.  There is no all-to-all: a sort or
+   hash groupby would pay a mapper x reducer exchange to move two ints
+   per doc.  By the definition of a skew TAIL the heavy set is tiny; a
+   cap guards the degenerate "everything is heavy" corpus, which is not
    skew and wants the uniformly-salted pipeline instead.
 3. Routing (pipelines/extraction.py): the heavy-id set is broadcast via
    ``ray.put`` and both lanes filter AT THE SOURCE with a vectorized
@@ -165,8 +168,8 @@ def _sampled_row_tail_suspect(files: list[str]) -> bool:
 
 def doc_size_partials(batch: pa.Table) -> pa.Table:
     """(doc_id, spans) rows -> per-ROW (doc_id, html bytes, span count)
-    partials, fully vectorized (docs chunked across rows sum up in the
-    downstream groupby)."""
+    partials, fully vectorized (docs chunked across rows are summed by
+    ``sum_by_doc``)."""
     spans = batch.column("spans")
     if isinstance(spans, pa.ChunkedArray):
         spans = spans.combine_chunks()
@@ -192,54 +195,59 @@ def doc_size_partials(batch: pa.Table) -> pa.Table:
     )
 
 
+def sum_by_doc(sizes: pa.Table) -> pa.Table:
+    """(doc_id, b, s) partials -> one row per doc with the sums, same
+    columns, so it applies again to its own concatenated outputs."""
+    g = sizes.group_by("doc_id", use_threads=False).aggregate(
+        [("b", "sum"), ("s", "sum")]
+    )
+    return pa.table({"doc_id": g["doc_id"], "b": g["b_sum"], "s": g["s_sum"]})
+
+
+def block_doc_sizes(block: pa.Table) -> pa.Table:
+    """One whole read block -> one (doc_id, b, s) row per doc in it."""
+    return sum_by_doc(doc_size_partials(block))
+
+
 def heavy_doc_ids(
     spans_path: str,
     byte_threshold: int,
     span_threshold: int | None = None,
-    override_num_blocks: int | None = None,
 ) -> list[str] | None:
-    """Streaming per-doc size census; returns the ids of docs whose
-    total html bytes >= ``byte_threshold`` (or span count >=
+    """Per-doc size census; returns the sorted ids of docs whose total
+    html bytes >= ``byte_threshold`` (or span count >=
     ``span_threshold``), or None when more than HEAVY_MAX_DOCS qualify
     (uniformly heavy corpus — route the WHOLE pipeline salted instead).
 
-    The shuffle moves two ints per doc (map-side ``np.bincount``
-    partials), so the census is cheap at any corpus size; the dominant
-    cost is the one extra column scan, paid only when the metadata probe
-    was suspicious."""
-    import ray.data
-    from ray.data.aggregate import Sum
+    No shuffle: the read uses the pipeline's own block geometry
+    (``read_spans``, 2 blocks per CPU), one fused task per block reduces
+    it to per-doc sums (``block_doc_sizes``), and the driver fetches
+    those partials and sums them with ``sum_by_doc``.  The driver holds
+    at most docs x blocks rows of (string, int64, int64) — for the
+    largest table served here (sf0.1, 5,000 docs, 8 blocks on 4 CPUs)
+    that is 40,000 short rows, well under 1 MB.  The dominant cost is
+    the one extra column scan, paid only when the metadata probe was
+    suspicious."""
+    import ray
 
-    from ..sources.storage import capped_num_blocks
+    from ..sources.storage import read_spans
 
-    requested = override_num_blocks or 32
-    ds = ray.data.read_parquet(
-        spans_path,
-        columns=["doc_id", "spans"],
-        override_num_blocks=capped_num_blocks(spans_path, requested),
+    refs = (
+        read_spans(spans_path, columns=["doc_id", "spans"])
+        .map_batches(block_doc_sizes, batch_format="pyarrow", batch_size=None)
+        .to_arrow_refs()
     )
-    sizes = ds.map_batches(doc_size_partials, batch_format="pyarrow")
-    agg = sizes.groupby("doc_id").aggregate(
-        Sum("b", alias_name="tb"), Sum("s", alias_name="ts")
-    )
-
-    def over(batch: pa.Table) -> pa.Table:
-        mask = pc.greater_equal(batch.column("tb"), int(byte_threshold))
-        if span_threshold is not None:
-            mask = pc.or_(
-                mask,
-                pc.greater_equal(batch.column("ts"), int(span_threshold)),
-            )
-        return batch.filter(mask).select(["doc_id"])
-
-    heavy = (
-        agg.map_batches(over, batch_format="pyarrow")
-        .limit(HEAVY_MAX_DOCS + 1)
-        .take_all()
-    )
+    parts = [t for t in ray.get(refs) if t.num_rows]
+    if not parts:
+        return []
+    sizes = sum_by_doc(pa.concat_tables(parts))
+    mask = pc.greater_equal(sizes["b"], int(byte_threshold))
+    if span_threshold is not None:
+        mask = pc.or_(mask, pc.greater_equal(sizes["s"], int(span_threshold)))
+    heavy = sizes.filter(mask)["doc_id"].to_pylist()
     if len(heavy) > HEAVY_MAX_DOCS:
         return None
-    return sorted(r["doc_id"] for r in heavy)
+    return sorted(heavy)
 
 
 _ID_SET_CACHE: dict = {}
