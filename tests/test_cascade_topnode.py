@@ -1,19 +1,23 @@
 """Unit tests for the trafilatura-class cascade (E11 capability) and the
 goose3-class gravity top-node (E13 capability) extractors — the tier /
 fallback / sibling branches the template never exercises."""
+from web_content_extraction_benchmark_ray.functions.extractors import (
+    get_extractor,
+)
 from web_content_extraction_benchmark_ray.functions.extractors.cascade import (
     MIN_EXTRACTED_CHARS,
-    cascade,
     select_zone,
 )
 from web_content_extraction_benchmark_ray.functions.extractors.topnode import (
     best_top_node,
-    topnode,
 )
 from web_content_extraction_benchmark_ray.functions.htmlparse import (
     body_or_root,
     parse,
 )
+
+cascade = get_extractor("cascade")
+topnode = get_extractor("topnode")
 
 # stopword-rich filler so paragraphs clear every stopword/length gate
 PAR = (

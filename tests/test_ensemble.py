@@ -72,28 +72,21 @@ def test_answers_ws_normalized_before_matching():
     assert majority_vote(page, [answer], [1], 1) == page
 
 
-def test_stage_shares_parse_and_cached_members_without_shared_forms():
-    """models=("bte", "ensemble"): no co-running model has a SHARED_FORMS
-    entry, but the ensemble still needs the shared root — the stage must
-    parse once and feed the cached pass-1 bte answer into the vote
+def test_stage_shares_parse_and_cached_members_without_shared_forms(monkeypatch):
+    """models=("bte", "ensemble"): bte takes raw html (no SHARED_FORMS
+    entry), yet the ensemble still needs the parsed root — the stage must
+    answer both and feed the bte answer it already has into the vote
     (reference ensemble.py:24-37 consumes precomputed member answers)."""
     import pyarrow as pa
 
-    from web_content_extraction_benchmark_ray.functions.extractors import (
-        get_extractor,
-    )
-    from web_content_extraction_benchmark_ray.functions.extractors import (
-        ensemble as ens,
+    from web_content_extraction_benchmark_ray.functions import extractors
+    from web_content_extraction_benchmark_ray.sources.pagegen import (
+        render_page,
     )
     from web_content_extraction_benchmark_ray.stages.extract import (
         ExtractStage,
     )
-    from web_content_extraction_benchmark_ray.sources.pagegen import (
-        render_page,
-    )
 
-    stage = ExtractStage(("bte", "ensemble"))
-    assert stage.need_parse  # the regression: shared={} used to skip it
     html = render_page(7, "alpha beta gamma delta " * 30)
     batch = pa.table(
         {
@@ -102,16 +95,20 @@ def test_stage_shares_parse_and_cached_members_without_shared_forms():
         }
     )
     out = {
-        (r["model"]): r for r in stage(batch).to_pylist()
+        (r["model"]): r
+        for r in ExtractStage(("bte", "ensemble"))(batch).to_pylist()
     }
     assert out["bte"]["error"] == "" and out["ensemble"]["error"] == ""
     # parity with the standalone ensemble form
-    assert out["ensemble"]["plaintext"] == get_extractor("ensemble")(html)
-    # the cached pass-1 answer is what member_answer consumes: a cached
-    # value short-circuits before any recompute
-    sentinel = "CACHED ANSWER"
-    got = ens.member_answer(
-        "bte", lambda h: (_ for _ in ()).throw(AssertionError("recomputed")),
-        html, None, None, cached={"bte": sentinel},
+    assert out["ensemble"]["plaintext"] == extractors.get_extractor("ensemble")(
+        html
     )
-    assert got == sentinel
+    # a cached member answer short-circuits before any recompute: with bte
+    # made to raise, the page still votes with the answer it holds
+    def _boom(html):
+        raise AssertionError("recomputed")
+
+    monkeypatch.setitem(extractors._REGISTRY, "bte", ("html", _boom))
+    page = extractors.Page(html)
+    page.answers["bte"] = out["bte"]["plaintext"]
+    assert page.answer("ensemble") == out["ensemble"]["plaintext"]

@@ -1,7 +1,6 @@
 """Unit tests for the jusText-style and density-style block classifiers."""
-from web_content_extraction_benchmark_ray.functions.extractors.density import (
-    density,
-    density_blocks,
+from web_content_extraction_benchmark_ray.functions.extractors import (
+    get_extractor,
 )
 from web_content_extraction_benchmark_ray.functions.extractors.justext import (
     BAD,
@@ -9,7 +8,6 @@ from web_content_extraction_benchmark_ray.functions.extractors.justext import (
     NEARGOOD,
     SHORT,
     classify_contextfree,
-    justext,
     revise_classification,
 )
 
@@ -71,7 +69,7 @@ def test_justext_end_to_end_drops_boilerplate():
         f"<p>{LONG_STOPPY}</p>"
         "<footer><a href='/t'>Terms</a> <a href='/p'>Privacy</a></footer></body>"
     )
-    assert justext(html) == LONG_STOPPY
+    assert get_extractor("justext")(html) == LONG_STOPPY
 
 
 def test_density_blocks_rules():
@@ -80,14 +78,13 @@ def test_density_blocks_rules():
         "<p>" + "word " * 20 + "</p>"
         "<div>tiny</div></body>"
     )
-    blocks = density_blocks(html)
-    by_text = {t[:10]: keep for keep, t in blocks}
-    assert by_text["OnlyLinks "] is False  # link-dense
-    assert by_text["word word "] is True  # > 16 words
+    kept = get_extractor("density")(html).split("\n")
+    assert not any(t.startswith("OnlyLinks") for t in kept)  # link-dense
+    assert kept[0] == ("word " * 20).strip()  # > 16 words
     # 'tiny' is adjacent to a >8-word low-link block -> promoted
-    assert by_text["tiny"] is True
+    assert kept[1:] == ["tiny"]
 
 
 def test_density_isolated_tiny_dropped():
     html = "<body><div>tiny</div><div><a href='/'>L1 L2 L3 L4</a></div></body>"
-    assert density(html) == ""
+    assert get_extractor("density")(html) == ""

@@ -1,7 +1,7 @@
 """Layout renderer conventions (E7 capability): block lines, bullets,
 <br>, table rows, head exclusion."""
 from web_content_extraction_benchmark_ray.functions.extractors.layout import (
-    render_layout_from_root,
+    layout,
 )
 from web_content_extraction_benchmark_ray.functions.extractors import (
     get_extractor,
@@ -42,4 +42,4 @@ def test_head_script_excluded_entities_decoded():
 
 def test_shared_root_form_matches():
     html = "<body><div>x</div><ul><li>y</li></ul></body>"
-    assert render_layout_from_root(parse(html)) == _render(html)
+    assert layout(parse(html)) == _render(html)

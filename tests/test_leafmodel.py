@@ -4,11 +4,13 @@ context — a weak block flips with supportive neighbours, the linear
 analogue of what BoilerNet's BiLSTM adds over a per-leaf classifier."""
 from __future__ import annotations
 
-from web_content_extraction_benchmark_ray.functions.extractors.leafmodel import (
-    leafmodel,
-    leafmodel_seq,
+from web_content_extraction_benchmark_ray.functions.extractors import (
+    get_extractor,
 )
 from web_content_extraction_benchmark_ray.sources import pagegen as pg
+
+leafmodel = get_extractor("leafmodel")
+leafmodel_seq = get_extractor("leafmodel_seq")
 
 LONG = " ".join(["content"] * 40)
 WEAK = " ".join(["w"] * 7)  # base z = 12*(7/32) - 3 < 0: dropped alone

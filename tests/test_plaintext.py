@@ -1,12 +1,12 @@
 """Unit tests for the resiliparse-class main-content plain-text
 extractor (E9 capability) — the prune/format branches the provable
 template never exercises."""
-from web_content_extraction_benchmark_ray.functions.extractors.layout import (
-    layout,
+from web_content_extraction_benchmark_ray.functions.extractors import (
+    get_extractor,
 )
-from web_content_extraction_benchmark_ray.functions.extractors.plaintext import (
-    plaintext,
-)
+
+layout = get_extractor("layout")
+plaintext = get_extractor("plaintext")
 
 PAR = "Some honest readable paragraph text that should clearly survive."
 

@@ -25,8 +25,8 @@ body extraction to the same goose/readability cascade family):
   ``<time datetime=...>`` attribute.  Returned verbatim (ISO strings in
   the wild); absent -> ''.
 - **article_text**: the zone-cascade main-content body
-  (``cascade_from_root`` — news-please wraps exactly this published
-  extractor family for the body).
+  (``cascade`` over the parsed root — news-please wraps exactly this
+  published extractor family for the body).
 
 All fields are '' when absent, never NULL, so the Arrow schema stays
 stable and the DuckDB twin hash-compares literal values.
@@ -37,7 +37,7 @@ import re
 
 from ..htmlparse import Node, parse
 from ..text import sub_common_entities
-from .cascade import cascade_from_root
+from .cascade import cascade
 
 # newspaper3k ``TITLE_SPLITTERS``-style site-name separators: a delimiter
 # token surrounded by whitespace (plain '-' only qualifies when spaced,
@@ -126,7 +126,7 @@ def article_from_root(root: Node) -> dict[str, str]:
         "title": _title(root, metas),
         "byline": _byline(root, metas),
         "pub_date": _pub_date(root, metas),
-        "article_text": cascade_from_root(root),
+        "article_text": cascade(root),
     }
 
 

@@ -11,19 +11,15 @@
 """
 from __future__ import annotations
 
-from ..htmlparse import body_or_root, parse
+from ..htmlparse import body_or_root
 from ..text import squeeze_ws, sub_common_entities
 from . import register_extractor
 
 _DROP = frozenset(("script", "style", "noscript"))
 
 
-@register_extractor("whole_text")
-def whole_text(html: str) -> str:
-    return whole_text_from_root(parse(html))
-
-
-def whole_text_from_root(root) -> str:
+@register_extractor("whole_text", "root")
+def whole_text(root) -> str:
     parts = [
         squeeze_ws(sub_common_entities(t))
         for t in root.text_chunks(skip_tags=_DROP)
@@ -31,21 +27,11 @@ def whole_text_from_root(root) -> str:
     return " ".join(p for p in parts if p)
 
 
-@register_extractor("body_text")
-def body_text(html: str) -> str:
-    return body_text_from_root(parse(html))
-
-
-def body_text_from_root(root) -> str:
+@register_extractor("body_text", "root")
+def body_text(root) -> str:
     body = body_or_root(root)
     parts = [
         squeeze_ws(sub_common_entities(t))
         for t in body.text_chunks(skip_tags=_DROP)
     ]
     return " ".join(p for p in parts if p)
-
-
-from . import register_shared  # noqa: E402
-
-register_shared("whole_text", "root", whole_text_from_root)
-register_shared("body_text", "root", body_text_from_root)

@@ -121,7 +121,7 @@ def _paragraphs(tokens: list[str]) -> list[str]:
     return pars
 
 
-@register_extractor("bte")
+@register_extractor("bte", "html")
 def bte(html: str) -> str:
     tokens = _tokenize(_preclean(html))
     start, end = best_window(tokens)

@@ -20,17 +20,17 @@ system demonstrations):
    own second tier wraps exactly that algorithm family), then to a
    pruned whole-body baseline; the longest qualifying output wins.
 
-Non-mutating (selection + traversal only), so it registers a shared
-pre-parsed-root form for the parse-once extraction fast path.
+Non-mutating (selection + traversal only), so it reads the page's one
+shared parse.
 """
 from __future__ import annotations
 
 import re
 
-from ..htmlparse import RAW_TEXT_TAGS, Node, body_or_root, parse, segment_blocks
+from ..htmlparse import RAW_TEXT_TAGS, Node, body_or_root, segment_blocks
 from ..text import sub_common_entities
-from . import register_extractor, register_shared
-from .readability import readability_from_root
+from . import register_extractor
+from .readability import readability
 
 # boilerplate name patterns a zone candidate must not match (published
 # trafilatura OVERALL_DISCARD_XPATH name classes, re-expressed)
@@ -98,7 +98,8 @@ def _harvest(node: Node, skip_tags=RAW_TEXT_TAGS) -> str:
     return "\n".join(parts)
 
 
-def cascade_from_root(root: Node) -> str:
+@register_extractor("cascade", "root")
+def cascade(root: Node) -> str:
     body = body_or_root(root)
     zone = select_zone(body)
     candidates: list[str] = []
@@ -107,7 +108,7 @@ def cascade_from_root(root: Node) -> str:
         if len(out) >= MIN_EXTRACTED_CHARS:
             return out
         candidates.append(out)
-    fallback = readability_from_root(root)
+    fallback = readability(root)
     if len(fallback) >= MIN_EXTRACTED_CHARS:
         return fallback
     candidates.append(fallback)
@@ -115,11 +116,3 @@ def cascade_from_root(root: Node) -> str:
         _harvest(body, skip_tags=frozenset(RAW_TEXT_TAGS) | _PRUNE_TAGS)
     )
     return max(candidates, key=len)
-
-
-@register_extractor("cascade")
-def cascade(html: str) -> str:
-    return cascade_from_root(parse(html))
-
-
-register_shared("cascade", "root", cascade_from_root)

@@ -14,7 +14,6 @@ Decision rule (NumWordsRules-style):
 """
 from __future__ import annotations
 
-from ..htmlparse import body_or_root, parse, segment_blocks
 from ..text import sub_common_entities, tokenize_ws
 from . import register_extractor
 
@@ -24,11 +23,8 @@ MIN_PREV_WORDS = 8
 MIN_NEXT_WORDS = 15
 
 
-def density_blocks(html: str) -> list[tuple[bool, str]]:
-    return density_from_segments(segment_blocks(body_or_root(parse(html))))
-
-
-def density_from_segments(blocks) -> list[tuple[bool, str]]:
+@register_extractor("density", "blocks")
+def density(blocks) -> str:
     feats = []
     for b in blocks:
         text = sub_common_entities(b.text())
@@ -37,10 +33,9 @@ def density_from_segments(blocks) -> list[tuple[bool, str]]:
         words = len(tokenize_ws(text))
         link_density = b.link_chars / len(text)
         feats.append((text, words, link_density))
-    out: list[tuple[bool, str]] = []
+    kept = []
     for i, (text, words, ld) in enumerate(feats):
         if ld > MAX_LINK_DENSITY:
-            out.append((False, text))
             continue
         prev_w = feats[i - 1][1] if i > 0 and feats[i - 1][2] <= MAX_LINK_DENSITY else 0
         next_w = (
@@ -48,25 +43,10 @@ def density_from_segments(blocks) -> list[tuple[bool, str]]:
             if i + 1 < len(feats) and feats[i + 1][2] <= MAX_LINK_DENSITY
             else 0
         )
-        is_content = (
+        if (
             words > MIN_WORDS_CONTENT
             or prev_w > MIN_PREV_WORDS
             or next_w > MIN_NEXT_WORDS
-        )
-        out.append((is_content, text))
-    return out
-
-
-@register_extractor("density")
-def density(html: str) -> str:
-    return "\n".join(t for keep, t in density_blocks(html) if keep)
-
-
-from . import register_shared  # noqa: E402
-
-register_shared(
-    "density", "blocks",
-    lambda blocks: "\n".join(
-        t for keep, t in density_from_segments(blocks) if keep
-    ),
-)
+        ):
+            kept.append(text)
+    return "\n".join(kept)

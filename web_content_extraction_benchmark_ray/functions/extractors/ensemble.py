@@ -12,36 +12,27 @@ Semantics of the reference's ensemble voter (``extractors/ensemble.py:40-73``
 
 Difference by design (Ray-Data-first): the reference joins member answers
 from JSONL side files via a per-process cache (ensemble.py:24-37, a join in
-our table model — SURVEY.md §2.3 N1); this engine computes member answers
-inline in the same per-document pass, so the ensemble stage needs no
-shuffle at all.  Member answers are NOT recomputed from raw HTML per
-member: the document is parsed/segmented ONCE and every member consumes
-its shared-input form (SHARED_FORMS), mirroring the reference's
-consume-precomputed-answers shape; when the extraction stage runs members
-alongside the ensemble in the same job, their already-computed answers are
-reused outright (stages/extract.py).
+our table model — SURVEY.md §2.3 N1); here an ensemble takes the whole
+``Page`` and asks it for each member's answer.  The page parses and
+segments the document once for every member and memoizes each answer, so
+a member the extraction stage already ran for the same document is reused
+outright, and the ensemble stage needs no shuffle at all.
 """
 from __future__ import annotations
 
 from ..text import tokenize_ws
-from . import SHARED_FORMS, register_extractor
-from .baselines import body_text_from_root
-from .bte import bte
-from .density import density
-from .justext import justext
-from .readability import readability
-from .tagclean import tagclean
+from . import register_extractor
 
 NGRAM_SIZE = 5
 
-# (name, fn, weight) — the engine's from-scratch member set; threshold rule
+# (name, weight) — the engine's from-scratch member set; threshold rule
 # matches the reference (int(len(models) * .66), extractors.py:197).
 MEMBERS = [
-    ("bte", bte, 1),
-    ("justext", justext, 1),
-    ("density", density, 1),
-    ("readability", readability, 1),
-    ("tagclean", tagclean, 1),
+    ("bte", 1),
+    ("justext", 1),
+    ("density", 1),
+    ("readability", 1),
+    ("tagclean", 1),
 ]
 
 
@@ -75,87 +66,39 @@ def majority_vote(
     return " ".join(t for t, v in zip(body, body_votes) if v >= vote_threshold)
 
 
-def member_answer(name, fn, html, root, blocks, cached=None):
-    """One member's answer through the shared-input fast path.
-
-    ``cached`` maps member name -> already-computed answer (an extraction
-    stage running the member model in the same job); a cached answer is
-    reused outright — the reference's consume-precomputed-answers shape
-    (ensemble.py:24-37).  Otherwise the member's SHARED_FORMS entry
-    consumes the per-document ``root``/``blocks`` parsed once for all
-    members; only members without a shared form (bte tokenizes raw HTML,
-    tagclean mutates its tree) re-read ``html``.
-    """
-    if cached is not None and name in cached:
-        return cached[name]
-    form = SHARED_FORMS.get(name) if root is not None else None
-    if form is not None:
-        kind, sfn = form
-        return sfn(blocks) if kind == "blocks" else sfn(root)
-    return fn(html)
-
-
-def ensemble_from_parsed(html, root, blocks, members, cached=None) -> str:
-    """Vote with one shared parse: threshold = int(0.66 * total weight),
-    where a weight-w member counts as w duplicated entries (reference
-    ``_get_ensemble_model_list``, extractors.py:174-209)."""
-    page_text = body_text_from_root(root)
-    answers = [
-        member_answer(name, fn, html, root, blocks, cached)
-        for name, fn, _ in members
-    ]
-    weights = [w for _, _, w in members]
-    threshold = int(sum(weights) * 0.66)
-    return majority_vote(page_text, answers, weights, threshold)
-
-
-def _needs_blocks(members) -> bool:
-    return any(
-        SHARED_FORMS.get(name, ("", None))[0] == "blocks"
-        for name, _, _ in members
+def vote(page, members) -> str:
+    """Vote ``page``'s body text against its member answers: threshold =
+    int(0.66 * total weight), where a weight-w member counts as w
+    duplicated entries (reference ``_get_ensemble_model_list``,
+    extractors.py:174-209)."""
+    weights = [w for _, w in members]
+    return majority_vote(
+        page.answer("body_text"),
+        [page.answer(name) for name, _ in members],
+        weights,
+        int(sum(weights) * 0.66),
     )
 
 
-def _run_ensemble(html: str, members) -> str:
-    """Standalone (direct-call) form: parse/segment once, then vote."""
-    from ..htmlparse import body_or_root, parse, segment_blocks
-
-    root = parse(html)
-    blocks = (
-        segment_blocks(body_or_root(root)) if _needs_blocks(members) else None
-    )
-    return ensemble_from_parsed(html, root, blocks, members)
-
-
-@register_extractor("ensemble")
-def ensemble(html: str) -> str:
-    return _run_ensemble(html, MEMBERS)
+@register_extractor("ensemble", "page")
+def ensemble(page) -> str:
+    return vote(page, MEMBERS)
 
 
 # N4 parameterizations (reference extractors.py:194-209): best-subset and
 # weighted (selected members counted twice).
 BEST_MEMBERS = [m for m in MEMBERS if m[0] in ("bte", "density", "readability")]
 WEIGHTED_MEMBERS = [
-    (name, fn, 2 if name in ("readability", "justext") else w)
-    for name, fn, w in MEMBERS
+    (name, 2 if name in ("readability", "justext") else w)
+    for name, w in MEMBERS
 ]
 
 
-@register_extractor("ensemble_best")
-def ensemble_best(html: str) -> str:
-    return _run_ensemble(html, BEST_MEMBERS)
+@register_extractor("ensemble_best", "page")
+def ensemble_best(page) -> str:
+    return vote(page, BEST_MEMBERS)
 
 
-@register_extractor("ensemble_weighted")
-def ensemble_weighted(html: str) -> str:
-    return _run_ensemble(html, WEIGHTED_MEMBERS)
-
-
-# Member binding per ensemble model, consumed by the extraction stage
-# (stages/extract.py) so a job running members alongside the ensemble
-# computes each member ONCE per document.
-ENSEMBLE_MEMBERS = {
-    "ensemble": MEMBERS,
-    "ensemble_best": BEST_MEMBERS,
-    "ensemble_weighted": WEIGHTED_MEMBERS,
-}
+@register_extractor("ensemble_weighted", "page")
+def ensemble_weighted(page) -> str:
+    return vote(page, WEIGHTED_MEMBERS)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 
-from ..htmlparse import body_or_root, parse, segment_blocks
 from ..text import sub_common_entities, tokenize_ws
 from . import register_extractor
 from .stoplist import ENGLISH_STOPWORDS
@@ -108,33 +107,12 @@ def revise_classification(cf: list[str]) -> list[str]:
     return classes
 
 
-def justext_blocks(html: str, stoplist=ENGLISH_STOPWORDS) -> list[tuple[str, str]]:
-    """Return [(final_class, text)] for each paragraph block."""
-    return justext_from_segments(
-        segment_blocks(body_or_root(parse(html))), stoplist
-    )
-
-
-def justext_from_segments(blocks, stoplist=ENGLISH_STOPWORDS):
+@register_extractor("justext", "blocks")
+def justext(blocks) -> str:
     texts = [sub_common_entities(b.text()) for b in blocks]
     cf = [
-        classify_contextfree(t, b.link_chars, b.is_heading, stoplist)
+        classify_contextfree(t, b.link_chars, b.is_heading)
         for t, b in zip(texts, blocks)
     ]
     final = revise_classification(cf)
-    return list(zip(final, texts))
-
-
-@register_extractor("justext")
-def justext(html: str) -> str:
-    return " ".join(t for c, t in justext_blocks(html) if c == GOOD)
-
-
-from . import register_shared  # noqa: E402
-
-register_shared(
-    "justext", "blocks",
-    lambda blocks: " ".join(
-        t for c, t in justext_from_segments(blocks) if c == GOOD
-    ),
-)
+    return " ".join(t for c, t in zip(final, texts) if c == GOOD)

@@ -15,9 +15,9 @@ From-scratch rendering conventions (documented, unit-tested):
 """
 from __future__ import annotations
 
-from ..htmlparse import BLOCK_TAGS, parse
+from ..htmlparse import BLOCK_TAGS
 from ..text import squeeze_ws, sub_common_entities
-from . import register_extractor, register_shared
+from . import register_extractor
 
 _SKIP = frozenset(("script", "style", "noscript", "head", "title"))
 # cells flow inside their row's line; the row itself is the line break
@@ -62,14 +62,6 @@ def render_blocks(root, skip=_SKIP, prune=None, li_prefix: str = "* ") -> str:
     return sub_common_entities("\n".join(lines))
 
 
-def render_layout_from_root(root) -> str:
-    """Read-only DOM walk (registered as the shared 'root' form)."""
+@register_extractor("layout", "root")
+def layout(root) -> str:
     return render_blocks(root)
-
-
-@register_extractor("layout")
-def layout(html: str) -> str:
-    return render_layout_from_root(parse(html))
-
-
-register_shared("layout", "root", render_layout_from_root)

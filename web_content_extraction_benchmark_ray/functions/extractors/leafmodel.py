@@ -10,17 +10,16 @@ this sandbox, and the north rule wants from-scratch logic).
 Here the model is a logistic unit over shallow block features
 (word count, link density, heading flag) with a FIXED deterministic
 weight table — the same shape a learned model would ship as (a weights
-blob loaded once per worker).  ``stages/extract.py``'s per-process stage
-cache plays the role of the model singleton.  On the provable synthetic
-template the decision boundary (score > 0 <=> ~9+ words at zero link
-density) exactly selects the main-content paragraphs, so the extractor
-has a hash-verified SQL oracle like every other model.
+blob loaded once per worker).  The module-level table, built once per
+worker process at import, plays the role of the model singleton.  On
+the provable synthetic template the decision boundary (score > 0 <=> ~9+
+words at zero link density) exactly selects the main-content paragraphs,
+so the extractor has a hash-verified SQL oracle like every other model.
 """
 from __future__ import annotations
 
 import math
 
-from ..htmlparse import body_or_root, parse, segment_blocks
 from ..text import sub_common_entities, tokenize_ws
 from . import register_extractor
 
@@ -45,15 +44,9 @@ def block_score(words: int, link_ratio: float, is_heading: bool,
     return 1.0 / (1.0 + math.exp(-z))
 
 
-@register_extractor("leafmodel")
-def leafmodel(html: str, weights: dict = WEIGHTS) -> str:
+@register_extractor("leafmodel", "blocks")
+def leafmodel(blocks, weights: dict = WEIGHTS) -> str:
     """Keep blocks the logistic unit scores > 0.5; join with newlines."""
-    return leafmodel_from_segments(
-        segment_blocks(body_or_root(parse(html))), weights
-    )
-
-
-def leafmodel_from_segments(blocks, weights: dict = WEIGHTS) -> str:
     kept = []
     for b in blocks:
         text = sub_common_entities(b.text())
@@ -96,14 +89,8 @@ def block_score_seq(words: int, link_ratio: float, is_heading: bool,
     return 1.0 / (1.0 + math.exp(-z))
 
 
-@register_extractor("leafmodel_seq")
-def leafmodel_seq(html: str, weights: dict = SEQ_WEIGHTS) -> str:
-    return leafmodel_seq_from_segments(
-        segment_blocks(body_or_root(parse(html))), weights
-    )
-
-
-def leafmodel_seq_from_segments(blocks, weights: dict = SEQ_WEIGHTS) -> str:
+@register_extractor("leafmodel_seq", "blocks")
+def leafmodel_seq(blocks, weights: dict = SEQ_WEIGHTS) -> str:
     """Two passes: featurize every block, then score each with its
     neighbours' features in view.  On the provable template the context
     terms are bounded by ±2 while the base margins are ≥ |5.8| on every
@@ -175,13 +162,6 @@ def block_score_seq2(words: int, link_ratio: float, is_heading: bool,
     return 1.0 / (1.0 + math.exp(-z))
 
 
-@register_extractor("leafmodel_seq2")
-def leafmodel_seq2(html: str, weights: dict = SEQ2_WEIGHTS) -> str:
-    return leafmodel_seq2_from_segments(
-        segment_blocks(body_or_root(parse(html))), weights
-    )
-
-
 def _neighbor(feats, i: int):
     """(capped words, link ratio) of feature row i, or zeros off the ends."""
     if 0 <= i < len(feats):
@@ -189,7 +169,8 @@ def _neighbor(feats, i: int):
     return 0, 0.0
 
 
-def leafmodel_seq2_from_segments(blocks, weights: dict = SEQ2_WEIGHTS) -> str:
+@register_extractor("leafmodel_seq2", "blocks")
+def leafmodel_seq2(blocks, weights: dict = SEQ2_WEIGHTS) -> str:
     """Context windows index the NON-EMPTY block sequence, mirroring the
     trained form (pipelines/training.py:leaf_seq_examples and its
     lag/lead SQL twin) — an earlier form let empty-text blocks occupy
@@ -215,10 +196,3 @@ def leafmodel_seq2_from_segments(blocks, weights: dict = SEQ2_WEIGHTS) -> str:
         ) > 0.5:
             kept.append(text)
     return "\n".join(kept)
-
-
-from . import register_shared  # noqa: E402
-
-register_shared("leafmodel", "blocks", leafmodel_from_segments)
-register_shared("leafmodel_seq", "blocks", leafmodel_seq_from_segments)
-register_shared("leafmodel_seq2", "blocks", leafmodel_seq2_from_segments)

@@ -33,13 +33,13 @@ comments div and footer are all pruned, so the expected output is
 exactly the main paragraphs newline-joined — the same SQL twin as the
 zone extractors (pipelines/oracles.py).
 
-Non-mutating (prune decisions are made during the walk), so it
-registers a shared pre-parsed-root form for the parse-once fast path.
+Non-mutating (prune decisions are made during the walk), so it reads
+the page's one shared parse.
 """
 from __future__ import annotations
 
-from ..htmlparse import Node, parse
-from . import register_extractor, register_shared
+from ..htmlparse import Node
+from . import register_extractor
 from .cascade import _NEGATIVE_ZONE, _name_str
 from .layout import _SKIP as _LAYOUT_SKIP
 from .layout import render_blocks
@@ -55,16 +55,8 @@ def _pruned(node: Node) -> bool:
     return bool(name.strip()) and bool(_NEGATIVE_ZONE.search(name))
 
 
-def render_plaintext_from_root(root) -> str:
-    """Read-only DOM walk (registered as the shared 'root' form): the
-    layout renderer's walker with the main-content prune predicate and
-    list bullets off."""
+@register_extractor("plaintext", "root")
+def plaintext(root) -> str:
+    """The layout renderer's walker with the main-content prune predicate
+    and list bullets off."""
     return render_blocks(root, skip=_SKIP, prune=_pruned, li_prefix="")
-
-
-@register_extractor("plaintext")
-def plaintext(html: str) -> str:
-    return render_plaintext_from_root(parse(html))
-
-
-register_shared("plaintext", "root", render_plaintext_from_root)

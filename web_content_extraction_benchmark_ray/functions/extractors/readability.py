@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 
-from ..htmlparse import Node, body_or_root, parse, segment_blocks
+from ..htmlparse import Node, body_or_root, segment_blocks
 from ..text import squeeze_ws, sub_common_entities
 from . import register_extractor
 
@@ -119,12 +119,8 @@ def best_candidate(body: Node) -> Node | None:
     return best[2] if best else None
 
 
-@register_extractor("readability")
-def readability(html: str) -> str:
-    return readability_from_root(parse(html))
-
-
-def readability_from_root(root) -> str:
+@register_extractor("readability", "root")
+def readability(root) -> str:
     body = body_or_root(root)
     cand = best_candidate(body)
     if cand is None:
@@ -133,8 +129,3 @@ def readability_from_root(root) -> str:
     return "\n".join(
         t for t in (sub_common_entities(b.text()) for b in blocks) if t
     )
-
-
-from . import register_shared  # noqa: E402
-
-register_shared("readability", "root", readability_from_root)

@@ -3,11 +3,12 @@
 Capability of reference ``extract_lxml_cleaner`` (extractors.py:109-143):
 kill a fixed blacklist of subtrees (plus comments/scripts/head), then emit
 the remaining whole text.  The blacklist below reproduces the reference's
-configuration list (a config constant, extractors.py:113-124).
+configuration list (a config constant, extractors.py:113-124).  The walk
+skips blacklisted subtrees instead of deleting them, so it reads the
+page's one shared parse without changing it.
 """
 from __future__ import annotations
 
-from ..htmlparse import parse
 from ..text import squeeze_ws, sub_common_entities
 from . import register_extractor
 
@@ -26,12 +27,10 @@ TAG_BLACKLIST = frozenset(
 )
 
 
-@register_extractor("tagclean")
-def tagclean(html: str) -> str:
-    root = parse(html)
-    root.drop_tags(TAG_BLACKLIST)
+@register_extractor("tagclean", "root")
+def tagclean(root) -> str:
     parts = [
         squeeze_ws(sub_common_entities(t))
-        for t in root.text_chunks(skip_tags=frozenset())
+        for t in root.text_chunks(skip_tags=TAG_BLACKLIST)
     ]
     return " ".join(p for p in parts if p)

@@ -17,16 +17,16 @@ python-goose / goose3 content-extraction family):
 - the output is the text of the qualifying paragraphs of the merged
   node set, in document order.
 
-Non-mutating (scoring + traversal only), so it registers a shared
-pre-parsed-root form for the parse-once extraction fast path.
+Non-mutating (scoring + traversal only), so it reads the page's one
+shared parse.
 """
 from __future__ import annotations
 
 import re
 
-from ..htmlparse import Node, body_or_root, parse
+from ..htmlparse import Node, body_or_root
 from ..text import tokenize_ws
-from . import register_extractor, register_shared
+from . import register_extractor
 from .readability import _link_text_len, _node_text
 from .stoplist import ENGLISH_STOPWORDS
 
@@ -122,7 +122,8 @@ def _emit_paras(node: Node) -> list[str]:
     return out
 
 
-def topnode_from_root(root: Node) -> str:
+@register_extractor("topnode", "root")
+def topnode(root: Node) -> str:
     body = body_or_root(root)
     top, top_score, scores = best_top_node(body)
     if top is None:
@@ -142,11 +143,3 @@ def topnode_from_root(root: Node) -> str:
     for m in members:
         paras.extend(_emit_paras(m))
     return "\n".join(paras)
-
-
-@register_extractor("topnode")
-def topnode(html: str) -> str:
-    return topnode_from_root(parse(html))
-
-
-register_shared("topnode", "root", topnode_from_root)

@@ -19,8 +19,8 @@ checkpoint store, ``state/checkpoint.py``)::
       b0000/*.parquet  full EXTRACTIONS-schema rows for those models
 
 Missing models are computed in ONE ``extraction_pipeline`` run per
-``ensure`` call (the parse-once-per-doc shared-form machinery amortizes
-the DOM parse across every model in the batch — ``stages/extract.py``)
+``ensure`` call (each document's one ``Page`` amortizes the DOM parse
+across every model in the batch — ``stages/extract.py``)
 and land in a NEW batch directory; the manifest update is atomic
 (tmp + rename), so a crashed build never corrupts completed batches —
 the next run simply recomputes the missing models into a fresh batch.

@@ -1,8 +1,12 @@
 """Extraction stage: assembled documents -> per-(doc, model) extractions.
 
-An actor-pool ``map_batches`` stage (callable class: extractor lookup,
-stoplists and compiled regexes bound once per actor in ``__init__``,
-mirroring the reference's per-process singletons — SURVEY.md §7.4).
+``extract_batch`` is a plain-function ``map_batches`` task (the pipelines
+run it that way, pipelines/extraction.py); ``ExtractStage`` is the same
+work as a callable class, for an actor pool.  Each document becomes one
+``Page`` (functions/extractors): every model reads its declared input
+from it, so the document is parsed at most once for all models, never
+when every model takes raw html, and an ensemble reuses the answers of
+members that run in the same job.
 
 Reference semantics preserved (extract.py:106-119): a per-document
 extractor error never fails the job — it yields an empty answer plus an
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from ..functions.extractors import get_extractor
+from ..functions.extractors import Page, get_extractor
 from ..functions.media import parse_media
 from ..schema import EXTRACTIONS, OUT_SPAN_STRUCT
 
@@ -25,27 +29,22 @@ DEFAULT_MODELS = ("bte", "justext", "density")
 
 
 def spans_from(plaintext: str, media_refs) -> list[dict]:
-    spans = [
-        {"kind": "text", "text": block, "media_ref": "", "offset": 0}
-        for block in plaintext.split("\n")
-        if block
-    ]
+    spans: list[dict] = []
+    for block in plaintext.split("\n"):
+        if block:
+            spans.append(
+                {"kind": "text", "text": block, "media_ref": "", "order": len(spans)}
+            )
     for ref in media_refs or []:
         spans.append(
-            {"kind": "media", "text": parse_media(ref), "media_ref": ref}
+            {
+                "kind": "media",
+                "text": parse_media(ref),
+                "media_ref": ref,
+                "order": len(spans),
+            }
         )
-    return [
-        {
-            "kind": s["kind"],
-            "text": s["text"],
-            "media_ref": s["media_ref"],
-            "order": i,
-        }
-        for i, s in enumerate(spans)
-    ]
-
-
-_STAGE_CACHE: dict = {}
+    return spans
 
 
 def extract_batch(batch: pa.Table, models=DEFAULT_MODELS) -> pa.Table:
@@ -54,71 +53,28 @@ def extract_batch(batch: pa.Table, models=DEFAULT_MODELS) -> pa.Table:
     Plain-function ``map_batches`` tasks are elastic — they never reserve
     CPU slots the way a standing actor pool does, so they cannot starve a
     co-scheduled all-to-all's reduce tasks (measured: a 32-actor pool made
-    a 5s sort take 127s wall at 32 CPUs).  Warm state still amortizes: the
-    ExtractStage (compiled regexes, stoplists) is cached per worker
-    process keyed by the model tuple, so repeated tasks in one worker pay
-    setup once — the actor-pool ``__init__`` benefit without the
-    reservation.  Keep the ExtractStage class form for genuinely
+    a 5s sort take 127s wall at 32 CPUs).  The stage holds no warm state
+    beyond what the extractor modules build at import, so each task
+    builds its own.  Keep the ExtractStage class form for genuinely
     heavyweight model state that must pin resources (e.g. a GPU model).
     """
     from .reassemble import limit_arrow_threads
 
     limit_arrow_threads()
-    # explicit (name, callable) pairs key on the callable's identity too —
-    # a reused name with a different shipped-by-value callable must not hit
-    # the first callable's cached stage
-    key = tuple(m if isinstance(m, str) else (m[0], id(m[1])) for m in models)
-    stage = _STAGE_CACHE.get(key)
-    if stage is None:
-        stage = _STAGE_CACHE[key] = ExtractStage(models)
-    return stage(batch)
+    return ExtractStage(models)(batch)
 
 
 class ExtractStage:
     def __init__(self, models=DEFAULT_MODELS):
-        from ..functions.extractors import SHARED_FORMS
-        from ..functions.extractors.ensemble import (
-            ENSEMBLE_MEMBERS,
-            _needs_blocks,
-        )
-
-        # entries are registry names or explicit (name, callable) pairs —
-        # names resolve in the worker process, callables ship by value
-        self.models = [
-            (m, get_extractor(m)) if isinstance(m, str) else (m[0], m[1])
-            for m in models
-        ]
-        # ensemble models consume member answers computed in this same
-        # stage (reference ensemble.py:24-37 consumes precomputed member
-        # answers); members not co-running in the job are computed once
-        # per document through the shared parse below
-        self.ensembles = {
-            name: ENSEMBLE_MEMBERS[name]
-            for name, _ in self.models
-            if isinstance(name, str) and name in ENSEMBLE_MEMBERS
-        }
-        # shared-input fast path: parse (and segment) each document ONCE
-        # for all read-only consumers instead of once per model (~30% of
-        # extraction time was redundant re-parsing)
-        shared = {
-            name: SHARED_FORMS[name]
-            for name, _ in self.models
-            if isinstance(name, str) and name in SHARED_FORMS
-        }
-        self.shared = shared if len(shared) >= 2 or self.ensembles else {}
-        # parse once per doc whenever ANY consumer can use the shared
-        # root: >= 2 shared-form models, or an ensemble (whose members
-        # and page_text read the root even when no co-running model has
-        # a SHARED_FORMS entry — e.g. models=("bte", "ensemble"))
-        self.need_parse = bool(self.shared) or bool(self.ensembles)
-        self.need_blocks = any(
-            k == "blocks" for k, _ in self.shared.values()
-        ) or any(_needs_blocks(m) for m in self.ensembles.values())
+        # entries are registry names (fn None) or explicit (name, callable)
+        # pairs — names resolve in the worker process, callables ship by
+        # value
+        self.models = [(m, None) if isinstance(m, str) else tuple(m) for m in models]
+        for name, fn in self.models:
+            if fn is None:
+                get_extractor(name)  # an unknown name fails the job here
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions.extractors.ensemble import ensemble_from_parsed
-        from ..functions.htmlparse import body_or_root, parse, segment_blocks
-
         doc_ids = batch.column("doc_id").to_pylist()
         htmls = batch.column("html").to_pylist()
         media = (
@@ -128,58 +84,17 @@ class ExtractStage:
         )
         out_id, out_model, out_text, out_spans, out_err = [], [], [], [], []
         for doc_id, html, refs in zip(doc_ids, htmls, media):
-            root = blocks = None
-            if self.need_parse:
+            page = Page(html)
+            for name, fn in self.models:
                 try:
-                    root = parse(html)
-                    if self.need_blocks:
-                        blocks = segment_blocks(body_or_root(root))
-                except Exception:
-                    root = blocks = None  # fall back to per-model fn(html)
-            # pass 1: plain models (their answers feed co-running
-            # ensembles); pass 2: ensembles over the cached answers
-            results: list[tuple[str, str] | None] = [None] * len(self.models)
-            for i, (name, fn) in enumerate(self.models):
-                if name in self.ensembles:
-                    continue
-                try:
-                    form = self.shared.get(name) if root is not None else None
-                    if form is not None:
-                        kind, sfn = form
-                        plaintext = (
-                            sfn(blocks) if kind == "blocks" else sfn(root)
-                        ) or ""
-                    else:
-                        plaintext = fn(html) or ""
+                    if fn is None:
+                        plaintext = page.answer(name)
+                    else:  # recorded, so an ensemble listed later reuses it
+                        plaintext = page.answers[name] = fn(page.html) or ""
                     err = ""
                 except Exception as exc:  # never fail the job for one doc
                     plaintext = ""
                     err = f"{type(exc).__name__}: {exc}"[:500]
-                results[i] = (plaintext, err)
-            if self.ensembles:
-                cached = {
-                    name: res[0]
-                    for (name, _), res in zip(self.models, results)
-                    if isinstance(name, str) and res is not None and not res[1]
-                }
-                for i, (name, fn) in enumerate(self.models):
-                    members = self.ensembles.get(name)
-                    if members is None:
-                        continue
-                    try:
-                        if root is not None:
-                            plaintext = ensemble_from_parsed(
-                                html, root, blocks, members, cached
-                            ) or ""
-                        else:  # parse failed: per-model path (re-raises)
-                            plaintext = fn(html) or ""
-                        err = ""
-                    except Exception as exc:
-                        plaintext = ""
-                        err = f"{type(exc).__name__}: {exc}"[:500]
-                    results[i] = (plaintext, err)
-            for (name, _), res in zip(self.models, results):
-                plaintext, err = res
                 out_id.append(doc_id)
                 out_model.append(name)
                 out_text.append(plaintext)
