@@ -103,9 +103,7 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False,
             "extract_multi",
             lambda: _consume(
                 extraction_pipeline(
-                    spans_path, models=HEADLINE_MODELS,
-                    num_buckets=512, batch_size=32,
-                    override_num_blocks=2 * num_cpus,
+                    spans_path, models=HEADLINE_MODELS, batch_size=32
                 )
             ),
         )
@@ -117,9 +115,7 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False,
         def _extract_to_cache():
             extractcache.clear(sf_dir)  # every trial pays the full build
             extractcache.ensure(
-                sf_dir, HEADLINE_MODELS,
-                num_buckets=512, batch_size=32,
-                override_num_blocks=2 * num_cpus,
+                sf_dir, HEADLINE_MODELS, batch_size=32
             )
             return _consume(
                 extractcache.read(sf_dir, HEADLINE_MODELS)

@@ -12,12 +12,12 @@ def test_ensure_is_incremental_and_reused(ray_session, monkeypatch, tmp_path):
 
     monkeypatch.setattr(ec, "CACHE_ROOT", str(tmp_path))
 
-    d1 = ec.ensure(SF, ("bte",), num_buckets=16)
+    d1 = ec.ensure(SF, ("bte",))
     assert len(d1) == 1 and os.path.basename(d1[0]) == "b0000"
     # second ensure for the same model: no new batch directory
-    assert ec.ensure(SF, ("bte",), num_buckets=16) == d1
+    assert ec.ensure(SF, ("bte",)) == d1
     # a superset request computes ONLY the missing model into a new batch
-    d2 = ec.ensure(SF, ("bte", "whole_text"), num_buckets=16)
+    d2 = ec.ensure(SF, ("bte", "whole_text"))
     assert [os.path.basename(d) for d in d2] == ["b0000", "b0001"]
 
     out = ec.read(SF, ("bte",), columns=["doc_id", "model"]).to_pandas()
@@ -46,10 +46,10 @@ def test_cached_rows_equal_direct_pipeline(ray_session, monkeypatch, tmp_path):
             .reset_index(drop=True)
         )
 
-    cached = norm(ec.read(SF, ("bte",), num_buckets=16).to_pandas())
+    cached = norm(ec.read(SF, ("bte",)).to_pandas())
     spans = build_spans_table(SF)
     direct = norm(
-        extraction_pipeline(spans, models=("bte",), num_buckets=16).to_pandas()
+        extraction_pipeline(spans, models=("bte",)).to_pandas()
     )
     assert cached.equals(direct)
 
@@ -65,7 +65,7 @@ def test_foreign_source_dir_is_wiped(ray_session, monkeypatch, tmp_path):
     with open(os.path.join(root, "_MANIFEST.json"), "w") as f:
         f.write('{"batches": {"b0000": ["bte"]}}')
     # stale/foreign marker -> wiped and recomputed, not silently reused
-    dirs = ec.ensure(SF, ("bte",), num_buckets=16)
+    dirs = ec.ensure(SF, ("bte",))
     assert [os.path.basename(d) for d in dirs] == ["b0000"]
     with open(os.path.join(root, "_SOURCE")) as f:
         assert f.read().strip() == os.path.abspath(SF)

@@ -39,7 +39,7 @@ def oracle_extractions(sf_dir: str, models=MODELS) -> dict:
 @pytest.fixture(scope="module")
 def extracted(ray_session):
     path = build_spans_table(SF_DIR)
-    ds = extraction_pipeline(path, models=MODELS, num_buckets=8)
+    ds = extraction_pipeline(path, models=MODELS)
     return pa.concat_tables(
         [ray_session.get(ref) for ref in ds.to_arrow_refs()]
     )
@@ -118,7 +118,7 @@ def test_span_permutation_invariance(ray_session):
         from web_content_extraction_benchmark_ray.stages.reassemble import reassemble
         from web_content_extraction_benchmark_ray.stages.extract import ExtractStage
 
-        assembled = reassemble(ds, num_buckets=2)
+        assembled = reassemble(ds)
         extracted = assembled.map_batches(
             ExtractStage,
             fn_constructor_kwargs={"models": ("bte",)},

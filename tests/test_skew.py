@@ -117,11 +117,11 @@ def test_auto_routing_output_equals_single_lane(ray_session, pathological_spans)
         )
 
     auto = norm(
-        extraction_pipeline(pathological_spans, models=("bte",), num_buckets=16)
+        extraction_pipeline(pathological_spans, models=("bte",))
     )
     plain = norm(
         extraction_pipeline(
-            pathological_spans, models=("bte",), num_buckets=16,
+            pathological_spans, models=("bte",),
             heavy_lane_bytes=None, salted=False,
         )
     )

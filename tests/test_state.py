@@ -4,16 +4,21 @@ North-rule requirements under test:
 - a killed run resumes at partition granularity without recomputing
   completed partitions (lineage manifest is the resume source of truth);
 - salting pathological docs into balanced partitions preserves the exact
-  reassembly semantics (property: salted == unsalted for ANY chunking).
+  reassembly semantics (property: salted == unsalted for ANY chunking);
+- a checkpoint partition is a run of the one extraction pipeline, so it
+  takes the pipeline's skew route, and a run killed between its commit
+  steps resumes without duplicates.
 """
-import json
+import hashlib
 import os
 import shutil
+import zlib
 
 import pyarrow as pa
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_skew import pathological_spans  # noqa: F401  (fixture)
 
 from web_content_extraction_benchmark_ray.schema import SPAN_STRUCT
 from web_content_extraction_benchmark_ray.sources.synth import build_spans_table
@@ -76,15 +81,13 @@ def test_salted_equals_unsalted(ray_session, chunks, salt_range):
     rows.sort(key=lambda r: (hash((r[0], r[4])) % 97, r[0], r[4]))
 
     plain = (
-        reassemble(_spans_ds(ray_session, rows), num_buckets=4)
+        reassemble(_spans_ds(ray_session, rows))
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
     salted = (
-        reassemble_salted(
-            _spans_ds(ray_session, rows), num_buckets=4, salt_range=salt_range
-        )
+        reassemble_salted(_spans_ds(ray_session, rows), salt_range=salt_range)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -175,12 +178,191 @@ def test_heavy_lane_and_salted_equal_plain(ray_session):
             .reset_index(drop=True)
         )
 
-    plain = norm(extraction_pipeline(spans, models=("bte",), num_buckets=16))
+    plain = norm(extraction_pipeline(spans, models=("bte",)))
     routed = norm(
         extraction_pipeline(
-            spans, models=("bte",), num_buckets=16,
-            heavy_lane_bytes=50_000, salted=True,
+            spans, models=("bte",), heavy_lane_bytes=50_000, salted=True,
         )
     )
     assert plain.equals(routed)
     assert len(plain) == 500
+
+
+def _norm(df):
+    return (
+        df[["doc_id", "model", "plaintext"]]
+        .sort_values(["doc_id", "model"])
+        .reset_index(drop=True)
+    )
+
+
+def test_checkpoint_takes_the_pipeline_skew_route(
+    ray_session, pathological_spans, tmp_path, monkeypatch  # noqa: F811
+):
+    """Every checkpoint partition runs ``extraction_pipeline``: the heavy
+    doc is routed by the pipeline's census, which runs ONCE for all four
+    partition jobs (the route cache serves the other three), and the
+    committed output equals a plain pipeline run row for row."""
+    from web_content_extraction_benchmark_ray.pipelines import extraction
+    from web_content_extraction_benchmark_ray.stages import skew
+    from web_content_extraction_benchmark_ray.state.checkpoint import (
+        read_output,
+        run_checkpointed,
+    )
+
+    monkeypatch.setattr(extraction, "_ROUTE_CACHE", {})
+    census = skew.heavy_doc_ids
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return census(*args, **kwargs)
+
+    monkeypatch.setattr(skew, "heavy_doc_ids", counting)
+    out_dir = str(tmp_path / "ckpt")
+    run_checkpointed(pathological_spans, out_dir, models=("bte",), num_partitions=4)
+    assert len(calls) == 1
+
+    got = _norm(read_output(out_dir).to_pandas())
+    want = _norm(
+        extraction.extraction_pipeline(pathological_spans, models=("bte",))
+        .to_pandas()
+    )
+    assert got.equals(want)
+    assert len(got) == 201
+    assert (got["doc_id"] == "9999").sum() == 1
+
+
+def test_partition_predicate_matches_partition_of():
+    """The vectorized source predicate keeps exactly the rows whose doc
+    has ``crc32(doc_id) % P == pid`` — the layout earlier checkpoint
+    directories were written with — on a chunked batch that mixes
+    decimal and sha256-hex ids and repeats doc_ids."""
+    from web_content_extraction_benchmark_ray.stages.skew import (
+        filter_partition,
+        partition_of,
+    )
+
+    hexes = [hashlib.sha256(str(i).encode()).hexdigest() for i in range(6)]
+    decimals = [str(i) for i in (0, 7, 12, 99, 123456789012345678, 31)]
+    ids = (decimals + hexes) * 2 + ["7", hexes[0], "12"]
+    chunks = [ids[:9], ids[9:20], ids[20:]]
+    batch = pa.concat_tables(
+        [
+            pa.table({"doc_id": pa.array(c, pa.string()),
+                      "row": pa.array(range(len(c)), pa.int64())})
+            for c in chunks
+        ]
+    )
+    assert batch.column("doc_id").num_chunks == 3
+    for num_partitions in (1, 3, 4, 7):
+        kept = []
+        for pid in range(num_partitions):
+            got = filter_partition(batch, pid, num_partitions)
+            want = [d for d in ids if partition_of(d, num_partitions) == pid]
+            assert got.column("doc_id").to_pylist() == want
+            kept += got.column("doc_id").to_pylist()
+        assert sorted(kept) == sorted(ids)
+    for d in ids:
+        assert partition_of(d, 4) == zlib.crc32(d.encode()) % 4
+    empty = batch.slice(0, 0)
+    assert filter_partition(empty, 0, 4).num_rows == 0
+
+
+def _part(out_dir, pid):
+    return os.path.join(out_dir, f"part-{pid:05d}")
+
+
+def test_resume_recomputes_committed_partition_without_manifest(
+    ray_session, tmp_path
+):
+    """Crash between the data rename and the manifest write: the
+    partition directory exists but has no manifest.  A resume recomputes
+    that partition, writes its lineage, and the output has no duplicate
+    doc_id."""
+    from web_content_extraction_benchmark_ray.state.checkpoint import (
+        completed_partitions,
+        read_lineage,
+        read_output,
+        run_checkpointed,
+    )
+
+    spans = build_spans_table("/root/testdata/sf0.001")
+    out_dir = str(tmp_path / "ckpt")
+    with pytest.raises(RuntimeError, match="injected crash"):
+        run_checkpointed(
+            spans, out_dir, models=("bte",), num_partitions=4, fail_after=2
+        )
+    orphan = min(completed_partitions(out_dir))
+    os.remove(os.path.join(out_dir, "_manifest", f"part-{orphan:05d}.json"))
+    assert os.path.isdir(_part(out_dir, orphan))
+
+    new = run_checkpointed(spans, out_dir, models=("bte",), num_partitions=4)
+    assert orphan in {r["partition_id"] for r in new}
+    assert completed_partitions(out_dir) == {0, 1, 2, 3}
+    assert orphan in {r["partition_id"] for r in read_lineage(out_dir)}
+    out = read_output(out_dir).to_pandas()
+    assert out["doc_id"].is_unique
+    assert len(out) == 500
+
+
+def test_resume_clears_stale_tmp_partition(ray_session, tmp_path):
+    """A killed write leaves ``part-NNNNN.tmp`` behind.  ``read_output``
+    never reads it, and a resume clears it before committing."""
+    from web_content_extraction_benchmark_ray.state.checkpoint import (
+        completed_partitions,
+        read_output,
+        run_checkpointed,
+    )
+
+    spans = build_spans_table("/root/testdata/sf0.001")
+    out_dir = str(tmp_path / "ckpt")
+    with pytest.raises(RuntimeError, match="injected crash"):
+        run_checkpointed(
+            spans, out_dir, models=("bte",), num_partitions=4, fail_after=1
+        )
+    (done,) = completed_partitions(out_dir)
+    pending = next(p for p in range(4) if p != done)
+    # the stale tmp holds real rows of a committed partition: reading it
+    # would show up as duplicate doc_ids
+    stale = _part(out_dir, pending) + ".tmp"
+    os.makedirs(stale)
+    for f in os.listdir(_part(out_dir, done)):
+        shutil.copy(os.path.join(_part(out_dir, done), f), stale)
+    before = read_output(out_dir).to_pandas()
+    assert before["doc_id"].is_unique
+
+    run_checkpointed(spans, out_dir, models=("bte",), num_partitions=4)
+    assert not [n for n in os.listdir(out_dir) if n.endswith(".tmp")]
+    out = read_output(out_dir).to_pandas()
+    assert out["doc_id"].is_unique
+    assert len(out) == 500
+
+
+def test_empty_partition_commits(ray_session, tmp_path):
+    """More partitions than docs: a partition with no docs writes no
+    parquet file, but it still commits (an empty directory plus its
+    manifest) instead of failing the rename."""
+    import pyarrow.parquet as pq
+
+    from web_content_extraction_benchmark_ray.state.checkpoint import (
+        completed_partitions,
+        read_lineage,
+        read_output,
+        run_checkpointed,
+    )
+
+    src = tmp_path / "spans"
+    src.mkdir()
+    span = [{"kind": "html", "text": "<p>hello world</p>", "media_ref": "",
+             "offset": 0}]
+    pq.write_table(
+        pa.table({"doc_id": pa.array(["1", "2"]),
+                  "spans": pa.array([span, span], pa.list_(SPAN_STRUCT))}),
+        str(src / "part-0.parquet"),
+    )
+    out_dir = str(tmp_path / "ckpt")
+    run_checkpointed(str(src), out_dir, models=("bte",), num_partitions=8)
+    assert completed_partitions(out_dir) == set(range(8))
+    assert sum(r["doc_count"] for r in read_lineage(out_dir)) == 2
+    assert sorted(read_output(out_dir).to_pandas()["doc_id"]) == ["1", "2"]

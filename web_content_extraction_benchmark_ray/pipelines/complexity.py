@@ -150,17 +150,17 @@ def features_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def _assembled(sf_dir: str, num_buckets: int = 128):
+def _assembled(sf_dir: str):
     from ..sources.storage import read_spans
 
     path = build_spans_table(sf_dir)
     return reassemble(read_spans(path))
 
 
-def complexity_pipeline(sf_dir: str, num_buckets: int = 128):
+def complexity_pipeline(sf_dir: str):
     """(doc_id, dataset, complexity) — src-token reduce ⋈ truth-token
     reduce on doc_id, both sides pre-reduced to one int per page."""
-    src = _assembled(sf_dir, num_buckets).map_batches(
+    src = _assembled(sf_dir).map_batches(
         src_tokens_batch, batch_format="pyarrow"
     )
     joined = src.join(
@@ -220,7 +220,7 @@ def complexity_quantiles(sf_dir: str, qs=(0.25, 0.33, 0.5, 0.66, 0.75)):
     return pd.DataFrame({"q": list(qs), "value": [_round6(v) for v in vals]})
 
 
-def features_pipeline(sf_dir: str, num_buckets: int = 128):
-    return _assembled(sf_dir, num_buckets).map_batches(
+def features_pipeline(sf_dir: str):
+    return _assembled(sf_dir).map_batches(
         features_batch, batch_format="pyarrow"
     )

@@ -127,7 +127,7 @@ def _ext_project(batch: pa.Table) -> pa.Table:
     )
 
 
-def scores_pipeline(sf_dir: str, models=EVAL_MODELS, num_buckets: int = 128):
+def scores_pipeline(sf_dir: str, models=EVAL_MODELS):
     cpus = _cpus()
     # shared extraction cache (pipelines/extractcache.py): models already
     # computed by the extract queries / bench headline stream back from
@@ -138,7 +138,6 @@ def scores_pipeline(sf_dir: str, models=EVAL_MODELS, num_buckets: int = 128):
     ds = extractcache.read(
         sf_dir, models,
         columns=["doc_id", "model", "plaintext"],
-        num_buckets=num_buckets, override_num_blocks=2 * cpus,
     )
     ext = ds.map_batches(_ext_project, batch_format="pyarrow")
     joined = ext.join(

@@ -1,25 +1,32 @@
 """The flagship pipeline: spans table -> reassembly shuffle -> extraction.
 
 Ray shape: ``read_spans`` (2 blocks per CPU) -> ``reassemble`` (explode
--> bucket key -> one sort exchange -> per-partition ``assemble_group``)
--> ``map_batches(extract_batch)`` as plain-function tasks.  Per-block
-granularity replaces the reference's coarse (model x dataset)
-process-pool jobs, so retries and skew shrink from "one dataset x model"
-to "one block".
+-> wide-space bucket key -> one sort exchange -> per-partition
+``assemble_group``) -> ``map_batches(extract_batch)`` as plain-function
+tasks.  Per-block granularity replaces the reference's coarse (model x
+dataset) process-pool jobs, so retries and skew shrink from "one dataset
+x model" to "one block".
 
 Skew handling is automatic (stages/skew.py): a footer probe and, only
 when it is suspicious, a per-doc size census name the oversized docs;
 those take a salted reassembly and a batch_size=1 extract lane, split
 from the plain lane at the source by a broadcast id predicate.
+
+``partition=(pid, P)`` restricts a run to one checkpoint partition with
+a second source-side predicate (``filter_partition``), applied in every
+lane; it is how ``state/checkpoint.py`` runs this same pipeline once per
+pending partition.
 """
 from __future__ import annotations
 
+import os
+
 import ray.data
 
-from ..sources.storage import read_spans
+from ..sources.storage import read_spans, table_files
 from ..stages.extract import DEFAULT_MODELS, extract_batch
 from ..stages.reassemble import (
-    DEFAULT_NUM_BUCKETS,
+    _default_partitions,
     reassemble,
     reassemble_salted,
 )
@@ -32,19 +39,11 @@ def _route_fingerprint(spans_path: str):
     """Driver-side cache key: path + file listing stats, so repeated
     pipeline calls over one table (bench, eval, the per-model queries)
     probe/census once, and any rewrite invalidates."""
-    import glob as _glob
-    import os as _os
-
-    files = (
-        sorted(_glob.glob(_os.path.join(spans_path, "*.parquet")))
-        if _os.path.isdir(spans_path)
-        else [spans_path]
-    )
     from . import file_key
 
     return (
-        _os.path.abspath(spans_path),
-        tuple(file_key(f) for f in files),
+        os.path.abspath(spans_path),
+        tuple(file_key(f) for f in table_files(spans_path)),
     )
 
 
@@ -91,36 +90,25 @@ def _resolve_heavy_ids_uncached(spans_path, heavy_lane_bytes, salted):
     return ids, salted is True  # "auto": salt only the heavy lane
 
 
-def _assemble(ds, spans_path, num_buckets, salted):
+def _assemble(ds, spans_path, salted):
     # salted: two-phase skew-resistant reassembly (same output) for inputs
     # with pathological span-count tails — see stages/reassemble.py
     if salted:
-        return reassemble_salted(ds, num_buckets=num_buckets)
+        return reassemble_salted(ds)
     # size-aware partitioning: the caller knows the table's on-disk
     # bytes, so partitions never exceed ~64 MiB regardless of cluster
-    # shape (num_buckets only parameterizes the SALTED layout now)
-    import glob as _glob
-    import os as _os
-
-    files = (
-        _glob.glob(_os.path.join(spans_path, "*.parquet"))
-        if _os.path.isdir(spans_path)
-        else [spans_path]
-    )
-    nbytes = sum(_os.path.getsize(f) for f in files)
-    from ..stages.reassemble import _default_partitions
-
+    # shape
+    nbytes = sum(os.path.getsize(f) for f in table_files(spans_path))
     return reassemble(ds, partitions=_default_partitions(nbytes))
 
 
 def extraction_pipeline(
     spans_path: str,
     models=DEFAULT_MODELS,
-    num_buckets: int = DEFAULT_NUM_BUCKETS,
     batch_size: int = 64,
     heavy_lane_bytes="auto",
     salted="auto",
-    override_num_blocks: int | None = None,
+    partition: tuple[int, int] | None = None,
 ) -> "ray.data.Dataset":
     """Lazy Dataset of extractions for ``models`` over the spans table.
 
@@ -131,8 +119,12 @@ def extraction_pipeline(
     balanced path (stages/skew.py).  ``heavy_lane_bytes`` accepts an
     explicit byte threshold (census runs directly), or None to force a
     single lane; ``salted`` accepts True (whole pipeline salted), False
-    (never), or "auto" (heavy lane only)."""
+    (never), or "auto" (heavy lane only).  ``partition=(pid, P)`` keeps
+    only the docs with ``partition_of(doc_id, P) == pid``; the routing
+    decision is still made over the whole table, so every partition of
+    one table shares one probe/census."""
     from ..functions.extractors import list_extractors
+    from ..stages.skew import filter_doc_ids, filter_partition
 
     unknown = [m for m in models if isinstance(m, str) and m not in list_extractors()]
     if unknown:
@@ -141,49 +133,48 @@ def extraction_pipeline(
         )
     heavy_lane_salted = salted is not False  # explicit False wins everywhere
     heavy_ids, salted = _resolve_heavy_ids(spans_path, heavy_lane_bytes, salted)
-    if heavy_ids:
-        # Two-lane routing, split AT THE SOURCE by a broadcast id
-        # predicate: oversized docs go through a salted reassembly and a
-        # batch_size=1 extract so a 50 MB pathological page never pins a
-        # plain-reassembly bucket nor serializes a batch of 4 kB pages.
-        # No materialization — each lane is an independent streaming
-        # read; the heavy lane prunes to a handful of docs immediately.
-        from ..stages.skew import filter_doc_ids
 
-        ids_ref = ray.put(heavy_ids)
-
-        def lane(keep: bool):
-            src = read_spans(spans_path, num_blocks=override_num_blocks)
-            return src.map_batches(
-                filter_doc_ids,
-                fn_kwargs={"ids_ref": ids_ref, "keep": keep},
+    def source():
+        ds = read_spans(spans_path)
+        if partition is not None:
+            pid, num_partitions = partition
+            ds = ds.map_batches(
+                filter_partition,
+                fn_kwargs={"pid": pid, "num_partitions": num_partitions},
                 batch_format="pyarrow",
             )
+        return ds
 
-        light, heavy = lane(False), lane(True)
-        out_light = _assemble(
-            light, spans_path, num_buckets, salted
-        ).map_batches(
+    def extract(ds, size):
+        return ds.map_batches(
             extract_batch,
             fn_kwargs={"models": models},
             batch_format="pyarrow",
-            batch_size=batch_size,
+            batch_size=size,
         )
-        out_heavy = (
-            reassemble_salted(heavy, num_buckets=num_buckets)
-            if heavy_lane_salted
-            else _assemble(heavy, spans_path, num_buckets, False)
-        ).map_batches(
-            extract_batch,
-            fn_kwargs={"models": models},
+
+    if not heavy_ids:
+        return extract(_assemble(source(), spans_path, salted), batch_size)
+    # Two-lane routing, split AT THE SOURCE by a broadcast id predicate:
+    # oversized docs go through a salted reassembly and a batch_size=1
+    # extract so a 50 MB pathological page never pins a plain-reassembly
+    # bucket nor serializes a batch of 4 kB pages.  No materialization —
+    # each lane is an independent streaming read; the heavy lane prunes
+    # to a handful of docs immediately.
+    ids_ref = ray.put(heavy_ids)
+
+    def lane(keep: bool):
+        return source().map_batches(
+            filter_doc_ids,
+            fn_kwargs={"ids_ref": ids_ref, "keep": keep},
             batch_format="pyarrow",
-            batch_size=1,
         )
-        return out_light.union(out_heavy)
-    ds = read_spans(spans_path, num_blocks=override_num_blocks)
-    return _assemble(ds, spans_path, num_buckets, salted).map_batches(
-        extract_batch,
-        fn_kwargs={"models": models},
-        batch_format="pyarrow",
-        batch_size=batch_size,
+
+    out_light = extract(_assemble(lane(False), spans_path, salted), batch_size)
+    heavy = lane(True)
+    out_heavy = extract(
+        reassemble_salted(heavy) if heavy_lane_salted
+        else _assemble(heavy, spans_path, False),
+        1,
     )
+    return out_light.union(out_heavy)

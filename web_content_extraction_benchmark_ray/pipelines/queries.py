@@ -18,8 +18,6 @@ from ..sources.storage import read_spans, read_table
 from ..sources.synth import build_spans_table
 from ..stages.reassemble import reassemble
 
-QUERY_NUM_BUCKETS = 32
-
 
 def extraction_query(model: str):
     def run(sf_dir: str):
@@ -29,9 +27,7 @@ def extraction_query(model: str):
         from . import extractcache
 
         ds = extractcache.read(
-            sf_dir, (model,),
-            columns=["doc_id", "model", "plaintext"],
-            num_buckets=QUERY_NUM_BUCKETS,
+            sf_dir, (model,), columns=["doc_id", "model", "plaintext"]
         )
 
         def finalize(batch: pa.Table) -> pa.Table:
@@ -195,9 +191,7 @@ def extract_spans_signature(sf_dir: str):
     from . import extractcache
 
     ds = extractcache.read(
-        sf_dir, ("bte",),
-        columns=["doc_id", "model", "spans"],
-        num_buckets=QUERY_NUM_BUCKETS,
+        sf_dir, ("bte",), columns=["doc_id", "model", "spans"]
     )
 
     def serialize(batch: pa.Table) -> pa.Table:

@@ -25,6 +25,17 @@ def _have_lance() -> bool:
         return False
 
 
+def table_files(uri: str) -> list[str]:
+    """The table's data files: the sorted ``*.parquet`` part files of a
+    directory, or the single file ``uri`` names."""
+    import glob
+    import os
+
+    if os.path.isdir(uri):
+        return sorted(glob.glob(os.path.join(uri, "*.parquet")))
+    return [uri]
+
+
 def clean_schema(uri: str, columns=None):
     """Metadata-free Arrow schema of a parquet file/dir, subset to
     ``columns``.
@@ -38,18 +49,10 @@ def clean_schema(uri: str, columns=None):
     schema hashable and stable.  One footer read; the schema must be the
     COLUMN SUBSET when ``columns`` is given (full-schema + columns errors
     in Ray 2.49)."""
-    import glob
-    import os
-
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    f0 = (
-        sorted(glob.glob(os.path.join(uri, "*.parquet")))[0]
-        if os.path.isdir(uri)
-        else uri
-    )
-    full = pq.ParquetFile(f0).schema_arrow.remove_metadata()
+    full = pq.ParquetFile(table_files(uri)[0]).schema_arrow.remove_metadata()
     if columns is None:
         return full
     return pa.schema([full.field(c) for c in columns])
@@ -82,16 +85,9 @@ def capped_num_blocks(uri: str, requested: int) -> int:
     and break schema-stable fusion.  The footer scan stops as soon as the
     ask is known to be satisfiable, so large tables (file count >= ask)
     pay nothing."""
-    import glob
-    import os
-
     import pyarrow.parquet as pq
 
-    files = (
-        sorted(glob.glob(os.path.join(uri, "*.parquet")))
-        if os.path.isdir(uri)
-        else [uri]
-    )
+    files = table_files(uri)
     if len(files) >= requested:
         return requested
     rg = 0

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import zlib
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -138,9 +137,3 @@ def build_spans_table(
 
         shutil.rmtree(tmp, ignore_errors=True)
     return out
-
-
-def bucket_of(doc_id: str, num_buckets: int) -> int:
-    """Deterministic partitioning key: crc32 over the doc id (process-salt
-    free, unlike Python ``hash``)."""
-    return zlib.crc32(doc_id.encode()) % num_buckets

@@ -7,15 +7,14 @@ sort-by-``offset`` reassembly:
 
 1. ``explode_spans``: zero-copy flatten of the ``spans`` list column into
    flat span rows (pyarrow kernels only).
-2. ``add_bucket``: deterministic crc32 partitioning key ``bucket =
-   crc32(doc_id) % num_buckets``.  Grouping by a bounded int key instead of
-   the raw doc_id keeps the shuffle's group count fixed at 10^12-doc scale
-   (two-level grouping: buckets between workers, doc_id within a bucket) —
-   the "ONE partitioning key" of the design.  ``num_buckets`` is sized
-   ~4-16× the cluster's cores so hash balancing keeps the long tail short;
-   pathological docs are bounded by per-doc work, not per-bucket row
-   count.
-3. ``assemble_group``: within one bucket, sort by (doc_id, offset) and
+2. ``add_bucket``: deterministic hash of ``doc_id`` into
+   ``WIDE_BUCKET_SPACE`` (2^20) values, the "ONE partitioning key" of the
+   design.  ``reassemble`` cuts that space into uniform ranges for one
+   explicit-boundary sort, so each sort partition holds whole docs
+   (two-level grouping: buckets between workers, doc_id within a
+   partition) and the partition count, not the bucket count, sets the
+   parallelism.
+3. ``assemble_group``: within one partition, sort by (doc_id, offset) and
    concatenate 'html' span payloads; 'media' spans contribute their refs in
    offset order.  The in-group sort is the only ordering guarantee the
    pipeline relies on — block arrival order never matters (SURVEY.md §7.7,
@@ -31,8 +30,6 @@ import pyarrow.compute as pc
 
 from ..functions.arrownp import num_col
 from ..schema import ASSEMBLED
-
-DEFAULT_NUM_BUCKETS = 64
 
 
 def limit_arrow_threads() -> None:
@@ -69,11 +66,23 @@ def explode_spans(batch: pa.Table) -> pa.Table:
 
 _KNUTH = np.uint64(2654435761)
 
+# Wide routing space for the plain reassembly sort.  A SMALL discrete
+# bucket space (e.g. 128) breaks partition balance: Ray's range
+# partitioner samples boundary values, and with partitions ~ distinct
+# keys the sampled ranges cover 2-6 buckets each — measured 3.3x
+# task-row skew and a straggler-paced extract stage.  With ~1M distinct
+# bucket values the sampled boundaries land proportionally to ROWS, so
+# partitions balance at any partition count.  Range partitioning never
+# splits one key value across partitions, so every doc still lands
+# whole in exactly one partition.
+WIDE_BUCKET_SPACE = 1 << 20
 
-def add_bucket(batch: pa.Table, num_buckets: int = DEFAULT_NUM_BUCKETS) -> pa.Table:
-    """Adds the partition bucket.  A plain function task (not an actor
-    pool): stateless, and task pools never hold CPU reservations that
-    would starve the adjacent all-to-all's tasks.
+
+def add_bucket(batch: pa.Table) -> pa.Table:
+    """Adds the partition bucket, one of ``WIDE_BUCKET_SPACE`` values.
+    A plain function task (not an actor pool): stateless, and task pools
+    never hold CPU reservations that would starve the adjacent
+    all-to-all's tasks.
 
     Decimal doc_ids (the spans table synthesizes those) take a fully
     vectorized multiplicative-hash path — no per-row Python on the
@@ -97,16 +106,16 @@ def add_bucket(batch: pa.Table, num_buckets: int = DEFAULT_NUM_BUCKETS) -> pa.Ta
             zero_copy_only=False
         ).astype(np.uint64)
         # Knuth multiplicative hash decorrelates bucket from id ranges
-        # (plain modulo maps stride-num_buckets id patterns to one bucket)
+        # (plain modulo maps strided id patterns to one bucket)
         buckets[num_mask] = (
             ((ids * _KNUTH) & np.uint64(0xFFFFFFFF))
-            % np.uint64(num_buckets)
+            % np.uint64(WIDE_BUCKET_SPACE)
         ).astype(np.int32)
     if not num_mask.all():
         crc = zlib.crc32
         rest = col.filter(pc.invert(numeric)).to_pylist()
         buckets[~num_mask] = np.fromiter(
-            (crc(s.encode()) % num_buckets for s in rest),
+            (crc(s.encode()) % WIDE_BUCKET_SPACE for s in rest),
             dtype=np.int32,
             count=len(rest),
         )
@@ -114,8 +123,9 @@ def add_bucket(batch: pa.Table, num_buckets: int = DEFAULT_NUM_BUCKETS) -> pa.Ta
 
 
 def assemble_group(group: pa.Table) -> pa.Table:
-    """Reassemble every document in one bucket.  Runs once per bucket as a
-    ``groupby('bucket').map_groups`` task.
+    """Reassemble every document in one sort partition (whole docs; see
+    ``reassemble``).  Runs once per partition as a whole-block
+    ``map_batches`` task.
 
     Fully vectorized: sort -> arrow hash-group 'list' aggregation (input
     order preserved within each group, so the collected lists are in
@@ -170,18 +180,6 @@ def assemble_group(group: pa.Table) -> pa.Table:
     )
 
 
-# Wide routing space for the plain reassembly sort.  A SMALL discrete
-# bucket space (e.g. 128) breaks partition balance: Ray's range
-# partitioner samples boundary values, and with partitions ~ distinct
-# keys the sampled ranges cover 2-6 buckets each — measured 3.3x
-# task-row skew and a straggler-paced extract stage.  With ~1M distinct
-# bucket values the sampled boundaries land proportionally to ROWS, so
-# partitions balance at any partition count.  Range partitioning never
-# splits one key value across partitions, so every doc still lands
-# whole in exactly one partition.
-WIDE_BUCKET_SPACE = 1 << 20
-
-
 PARTITION_TARGET_BYTES = 64 << 20  # keep a partition well under block limits
 
 
@@ -205,8 +203,7 @@ def _default_partitions(input_bytes: int | None = None) -> int:
     return base
 
 
-def reassemble(ds, num_buckets: int = DEFAULT_NUM_BUCKETS,
-               partitions: int | None = None):
+def reassemble(ds, partitions: int | None = None):
     """Dataset -> Dataset of assembled documents (the reassembly shuffle).
 
     Shape: explode -> wide-space bucket key -> ``sort(bucket)`` -> ONE
@@ -215,14 +212,9 @@ def reassemble(ds, num_buckets: int = DEFAULT_NUM_BUCKETS,
     shuffle of the design, expressed as sort + per-partition assembly:
     ``assemble_group`` already handles arbitrarily many docs per call, so
     per-group Python dispatch is avoided AND partitions stay balanced
-    (see WIDE_BUCKET_SPACE).  ``num_buckets`` is retained for the salted
-    variant and the checkpoint layout, which need SMALL bucket spaces as
-    partition identities."""
+    (see WIDE_BUCKET_SPACE)."""
     ds = ds.map_batches(explode_spans, batch_format="pyarrow")
-    ds = ds.map_batches(
-        add_bucket, fn_kwargs={"num_buckets": WIDE_BUCKET_SPACE},
-        batch_format="pyarrow",
-    )
+    ds = ds.map_batches(add_bucket, batch_format="pyarrow")
     # EXPLICIT uniform boundaries kill the last skew source: sampled
     # boundaries varied partition rows 3x even over the wide space
     # (few samples per block), while uniform cuts of a uniform hash give
@@ -261,11 +253,10 @@ DEFAULT_SALT_RANGE = 1 << 16
 
 
 def add_salt_bucket(
-    batch: pa.Table,
-    num_buckets: int = DEFAULT_NUM_BUCKETS,
-    salt_range: int = DEFAULT_SALT_RANGE,
+    batch: pa.Table, salt_range: int = DEFAULT_SALT_RANGE
 ) -> pa.Table:
-    """Bucket over a deterministic hash of (doc_id, salt).
+    """Bucket over a deterministic hash of (doc_id, salt), one of
+    ``WIDE_BUCKET_SPACE`` values.
 
     Vectorized like ``add_bucket``: decimal doc_ids take a multiplicative
     mix of (id, salt) entirely in numpy; other ids fall back to a crc32 row
@@ -290,7 +281,7 @@ def add_salt_bucket(
             ^ (salts[num_mask].astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
         )
         buckets[num_mask] = (
-            (mixed & np.uint64(0xFFFFFFFF)) % np.uint64(num_buckets)
+            (mixed & np.uint64(0xFFFFFFFF)) % np.uint64(WIDE_BUCKET_SPACE)
         ).astype(np.int32)
     if not num_mask.all():
         crc = zlib.crc32
@@ -298,7 +289,7 @@ def add_salt_bucket(
         rest_salts = salts[~num_mask]
         buckets[~num_mask] = np.fromiter(
             (
-                crc(f"{d}#{s}".encode()) % num_buckets
+                crc(f"{d}#{s}".encode()) % WIDE_BUCKET_SPACE
                 for d, s in zip(rest, rest_salts)
             ),
             dtype=np.int32,
@@ -363,26 +354,18 @@ def _wide_sorted(ds, partitions: int | None = None):
     return ds.sort("bucket", boundaries=bounds)
 
 
-def reassemble_salted(
-    ds,
-    num_buckets: int | None = None,
-    salt_range: int = DEFAULT_SALT_RANGE,
-):
+def reassemble_salted(ds, salt_range: int = DEFAULT_SALT_RANGE):
     """Skew-resistant two-phase reassembly; output-equal to reassemble().
 
     Both phases route over the WIDE bucket space with explicit uniform
-    sort boundaries (``num_buckets`` is accepted for call-site
-    compatibility but the wide space is always used — phase correctness
-    only needs "same (doc_id, salt) shard → same partition", which any
-    deterministic bucket gives).  ``partial_assemble_group`` /
-    ``assemble_group`` already handle arbitrarily many shards per call,
-    so one vectorized call per sort partition replaces per-group Python
-    dispatch."""
+    sort boundaries (phase correctness only needs "same (doc_id, salt)
+    shard → same partition", which any deterministic bucket gives).
+    ``partial_assemble_group`` / ``assemble_group`` already handle
+    arbitrarily many shards per call, so one vectorized call per sort
+    partition replaces per-group Python dispatch."""
     ds = ds.map_batches(explode_spans, batch_format="pyarrow")
     ds = ds.map_batches(
-        add_salt_bucket,
-        fn_kwargs={"num_buckets": WIDE_BUCKET_SPACE,
-                   "salt_range": salt_range},
+        add_salt_bucket, fn_kwargs={"salt_range": salt_range},
         batch_format="pyarrow",
     )
     partials = _wide_sorted(ds).map_batches(
@@ -390,10 +373,7 @@ def reassemble_salted(
         zero_copy_batch=True,
     )
     # phase 2: plain reassembly over the (much smaller) partial-span set
-    partials = partials.map_batches(
-        add_bucket, fn_kwargs={"num_buckets": WIDE_BUCKET_SPACE},
-        batch_format="pyarrow",
-    )
+    partials = partials.map_batches(add_bucket, batch_format="pyarrow")
     return _wide_sorted(partials).map_batches(
         assemble_group, batch_format="pyarrow", batch_size=None,
         zero_copy_batch=True,

@@ -37,6 +37,10 @@ default pipeline self-routing, in three escalating steps:
    via the predicate, and the light lane's shuffle is provably
    tail-free, so neither lane ever holds the corpus in memory.
 
+``filter_partition`` is the second source-side predicate, built like
+``filter_doc_ids``: it restricts a pipeline run to one checkpoint
+partition, ``partition_of(doc_id, P) == pid`` (state/checkpoint.py).
+
 Reference parity note: the reference has no skew handling at all — its
 unit of work is a whole (model x dataset) process-pool job
 (/root/reference/src/extraction_benchmark/extract.py:127-161), so one
@@ -45,8 +49,7 @@ is part of the engine's beyond-reference scale story.
 """
 from __future__ import annotations
 
-import glob
-import os
+import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -85,11 +88,9 @@ def probe_row_groups(spans_path: str) -> dict | None:
     the table fits one task anyway)."""
     import pyarrow.parquet as pq
 
-    files = (
-        sorted(glob.glob(os.path.join(spans_path, "*.parquet")))
-        if os.path.isdir(spans_path)
-        else [spans_path]
-    )
+    from ..sources.storage import table_files
+
+    files = table_files(spans_path)
     if len(files) > PROBE_MAX_FILES:
         # deterministic spread, not a prefix: skew can live anywhere
         step = len(files) / PROBE_MAX_FILES
@@ -268,3 +269,25 @@ def filter_doc_ids(batch: pa.Table, ids_ref, keep: bool) -> pa.Table:
     if not keep:
         mask = pc.invert(mask)
     return batch.filter(mask)
+
+
+def partition_of(doc_id: str, num_partitions: int) -> int:
+    """A document's checkpoint partition (``state/checkpoint.py``).  Its
+    on-disk layout depends on this exact function, so it never changes."""
+    return zlib.crc32(doc_id.encode()) % num_partitions
+
+
+def filter_partition(batch: pa.Table, pid: int, num_partitions: int) -> pa.Table:
+    """Source-side partition predicate: keep the rows whose doc has
+    ``partition_of(doc_id, num_partitions) == pid``.  A doc's spans are
+    chunked over several rows, so the crc32 runs once per distinct
+    doc_id of the batch (its dictionary values), not once per row."""
+    ids = pc.cast(batch.column("doc_id"), pa.string()).combine_chunks()
+    enc = ids.dictionary_encode()
+    hit = np.fromiter(
+        (partition_of(d, num_partitions) == pid
+         for d in enc.dictionary.to_pylist()),
+        dtype=bool,
+        count=len(enc.dictionary),
+    )
+    return batch.filter(pa.array(hit[enc.indices.to_numpy(zero_copy_only=False)]))

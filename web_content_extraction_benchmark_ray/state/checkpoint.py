@@ -22,9 +22,16 @@ Lineage record fields: partition id, input files, doc/row/error counts,
 wall ms, engine partition-count config — enough to re-derive any output
 partition from its inputs.
 
-Scale note: each partition job here re-scans the spans table and prunes
-to its hash bucket (correct, but P scans).  At production scale the input
-table is hash-bucketed at rest (one Lance fragment set per bucket), so the
+Each pending partition is one run of the flagship
+``extraction_pipeline`` with ``partition=(pid, P)``: a source-side
+predicate (``stages/skew.filter_partition``) keeps the docs with
+``partition_of(doc_id, P) == pid`` (crc32), and the partition gets the
+pipeline's skew routing, sort exchange and size-aware partition count.
+There is no reassembly or extraction code here.
+
+Scale note: every partition job re-scans the spans table and prunes at
+the source (correct, but P scans).  At production scale the input table
+is hash-bucketed at rest (one Lance fragment set per bucket), so the
 prune becomes a fragment-list read — the layout this module's partition
 key (crc32(doc_id) % P) is chosen to line up with.
 """
@@ -34,19 +41,15 @@ import json
 import os
 import shutil
 import time
-import zlib
 
-import pyarrow as pa
 import ray.data
 
-from ..stages.extract import DEFAULT_MODELS, extract_batch
-from ..stages.reassemble import add_bucket, assemble_group, explode_spans
+from ..pipelines.extraction import extraction_pipeline
+from ..sources.storage import table_files
+from ..stages.extract import DEFAULT_MODELS
+from ..stages.skew import partition_of  # noqa: F401  (the layout's key)
 
 DEFAULT_NUM_PARTITIONS = 8
-
-
-def partition_of(doc_id: str, num_partitions: int) -> int:
-    return zlib.crc32(doc_id.encode()) % num_partitions
 
 
 def _manifest_dir(out_dir: str) -> str:
@@ -76,20 +79,11 @@ def read_lineage(out_dir: str) -> list[dict]:
     return records
 
 
-def _prune_partition(batch: pa.Table, pid: int, num_partitions: int) -> pa.Table:
-    """Bucket prune: keep spans whose doc hashes to ``pid``."""
-    ids = batch.column("doc_id").to_pylist()
-    crc = zlib.crc32
-    mask = pa.array([crc(s.encode()) % num_partitions == pid for s in ids])
-    return batch.filter(mask)
-
-
 def run_checkpointed(
     spans_path: str,
     out_dir: str,
     models=DEFAULT_MODELS,
     num_partitions: int = DEFAULT_NUM_PARTITIONS,
-    num_buckets: int = 16,
     fail_after: int | None = None,
 ) -> list[dict]:
     """Run the extraction pipeline with per-partition commit + lineage.
@@ -100,34 +94,15 @@ def run_checkpointed(
     """
     os.makedirs(_manifest_dir(out_dir), exist_ok=True)
     done = completed_partitions(out_dir)
-    input_files = sorted(
-        os.path.join(spans_path, f) for f in os.listdir(spans_path)
-    ) if os.path.isdir(spans_path) else [spans_path]
+    input_files = table_files(spans_path)
 
     new_records: list[dict] = []
     for pid in range(num_partitions):
         if pid in done:
             continue
         t0 = time.perf_counter()
-        ds = ray.data.read_parquet(spans_path)
-        ds = ds.map_batches(explode_spans, batch_format="pyarrow")
-        ds = ds.map_batches(
-            _prune_partition,
-            fn_kwargs={"pid": pid, "num_partitions": num_partitions},
-            batch_format="pyarrow",
-        )
-        ds = ds.map_batches(
-            add_bucket, fn_kwargs={"num_buckets": num_buckets},
-            batch_format="pyarrow",
-        )
-        assembled = ds.groupby("bucket").map_groups(
-            assemble_group, batch_format="pyarrow"
-        )
-        extracted = assembled.map_batches(
-            extract_batch,
-            fn_kwargs={"models": models},
-            batch_format="pyarrow",
-            batch_size=32,
+        extracted = extraction_pipeline(
+            spans_path, models=models, partition=(pid, num_partitions)
         )
 
         part_dir = os.path.join(out_dir, f"part-{pid:05d}")
@@ -138,6 +113,7 @@ def run_checkpointed(
         n_docs = n_rows // len(models)  # one row per (doc, model)
         n_err = extracted.filter(expr="error != ''").count()
         extracted.write_parquet(tmp_dir)
+        os.makedirs(tmp_dir, exist_ok=True)  # an empty partition writes no file
         shutil.rmtree(part_dir, ignore_errors=True)
         os.replace(tmp_dir, part_dir)  # atomic partition commit
 
@@ -167,12 +143,9 @@ def run_checkpointed(
 
 def read_output(out_dir: str):
     """Dataset over all completed partitions."""
-    files = []
-    for pid in sorted(completed_partitions(out_dir)):
-        pdir = os.path.join(out_dir, f"part-{pid:05d}")
-        files.extend(
-            os.path.join(pdir, f)
-            for f in sorted(os.listdir(pdir))
-            if f.endswith(".parquet")
-        )
+    files = [
+        f
+        for pid in sorted(completed_partitions(out_dir))
+        for f in table_files(os.path.join(out_dir, f"part-{pid:05d}"))
+    ]
     return ray.data.read_parquet(files)
