@@ -126,21 +126,19 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False,
     if not headline_only:
         from web_content_extraction_benchmark_ray.pipelines import queries as q
 
-        # The scores/complexity tables are computed once per sf_dir and
-        # cached under /tmp; with a warm cache the eval/complexity query
+        # The scores/complexity tables are computed once per (corpus, code
+        # version) and cached under /tmp (state/memo.cached_parquet); with a warm cache the eval/complexity query
         # timings only measure parquet re-reads.  Clear the caches and
         # time the builds as their OWN entries (single timing — a second
         # trial would be a cache hit), so the real DOM-walk/scoring
         # compute appears in the reported totals and the per-query
         # numbers honestly measure their marginal cost.
-        import hashlib as _hashlib
-        import shutil as _shutil
         import time as _time
 
-        _tag = _hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:16]
-        for _prefix in ("scores", "complexity"):
-            _shutil.rmtree(f"/tmp/wceb_cache/{_prefix}-{_tag}",
-                           ignore_errors=True)
+        from web_content_extraction_benchmark_ray.state.memo import clear_parquet
+
+        for _name in ("scores", "complexity"):
+            clear_parquet(_name, sf_dir)
         from web_content_extraction_benchmark_ray.pipelines.complexity import (
             complexity_parquet,
         )

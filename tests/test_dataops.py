@@ -1828,6 +1828,29 @@ def test_decontaminate_fuzzy_respects_posting_cap(
     assert dd.CAP_DROP_COUNT > drops_before
 
 
+def test_decontaminate_fuzzy_counts_cap_drops_on_memo_hits(
+    ray_session, monkeypatch
+):
+    """The capped posting is memoized with its drop count, and the count
+    lands in CAP_DROP_COUNT on every call: a second decontaminate_fuzzy
+    over the same corpus (a memo hit) moves the counter as the first
+    did."""
+    from web_content_extraction_benchmark_ray.pipelines.dataops import (
+        decontaminate_fuzzy,
+    )
+    from web_content_extraction_benchmark_ray.stages import dedup as dd
+
+    sf = "/root/testdata/sf0.001"
+    monkeypatch.setattr(dd, "LSH_POSTING_CAP", 0)
+    moved = []
+    for _ in range(2):
+        before = dd.CAP_DROP_COUNT
+        assert decontaminate_fuzzy(sf).count() == 0
+        moved.append(dd.CAP_DROP_COUNT - before)
+    assert moved[0] > 0
+    assert moved[1] == moved[0]
+
+
 def _cdc_brute(text):
     """Pure-Python restatement of the CDC cut rule."""
     from web_content_extraction_benchmark_ray.pipelines.dataops import (

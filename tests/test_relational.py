@@ -164,6 +164,53 @@ def test_revenue_by_region_matches_serial(ray_session):
     assert got["revenue6"].astype("int64").tolist() == want["revenue6"].astype("int64").tolist()
 
 
+def test_revenue_by_region_drops_orphan_custkeys(ray_session, tmp_path):
+    """The broadcast custkey probe is an inner join: an order whose
+    custkey has no customer row (one inside the key range, one above
+    its maximum) drops, exactly as in the DuckDB twin."""
+    import duckdb
+
+    from web_content_extraction_benchmark_ray.pipelines.relational import (
+        relational_oracle_sql,
+        revenue_by_region,
+    )
+
+    sf = "/root/testdata/sf0.001"
+    for t in ("lineitem", "nation", "region"):
+        pq.write_table(pq.read_table(f"{sf}/{t}.parquet"),
+                       tmp_path / f"{t}.parquet")
+    cust = pq.read_table(f"{sf}/customer.parquet")
+    ck = np.asarray(cust.column("c_custkey").to_pylist(), np.int64)
+    gone = int(np.sort(ck)[len(ck) // 2])  # an orphan inside the range
+    pq.write_table(cust.filter(pa.array(ck != gone)),
+                   tmp_path / "customer.parquet")
+    orders = pq.read_table(f"{sf}/orders.parquet")
+    oc = np.asarray(orders.column("o_custkey").to_pylist(), np.int64)
+    oc[0] = int(ck.max()) + 1000  # an orphan above the maximum
+    assert (oc == gone).any()
+    orders = orders.set_column(
+        orders.schema.get_field_index("o_custkey"), "o_custkey",
+        pa.array(oc, pa.int64()),
+    )
+    pq.write_table(orders, tmp_path / "orders.parquet")
+
+    got = (
+        revenue_by_region(str(tmp_path)).to_pandas()
+        .sort_values("region").reset_index(drop=True)
+    )
+    con = duckdb.connect()
+    for t in ("lineitem", "orders", "customer", "nation", "region"):
+        con.sql(f"create view {t} as select * from "
+                f"'{tmp_path / (t + '.parquet')}'")
+    want = (
+        con.sql(relational_oracle_sql()["revenue_by_region"]).df()
+        .sort_values("region").reset_index(drop=True)
+    )
+    assert got["region"].tolist() == want["region"].tolist()
+    assert got["n_lines"].astype("int64").tolist() == want["n_lines"].astype("int64").tolist()
+    assert got["revenue6"].astype("int64").tolist() == want["revenue6"].astype("int64").tolist()
+
+
 def test_parts_stale_matches_serial(ray_session):
     """The distributed anti join must equal the serial NOT EXISTS, and
     the filter must genuinely bind in both directions (some parts stale,

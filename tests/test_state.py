@@ -205,12 +205,13 @@ def test_checkpoint_takes_the_pipeline_skew_route(
     committed output equals a plain pipeline run row for row."""
     from web_content_extraction_benchmark_ray.pipelines import extraction
     from web_content_extraction_benchmark_ray.stages import skew
+    from web_content_extraction_benchmark_ray.state import memo
     from web_content_extraction_benchmark_ray.state.checkpoint import (
         read_output,
         run_checkpointed,
     )
 
-    monkeypatch.setattr(extraction, "_ROUTE_CACHE", {})
+    monkeypatch.setattr(memo, "_MEMO", {})
     census = skew.heavy_doc_ids
     calls = []
 

@@ -1,16 +1,1 @@
 """Pipeline layer: Dataset plans per SURVEY.md §2, one module per family."""
-from __future__ import annotations
-
-import os
-
-
-def file_key(path: str) -> tuple[str, int, int]:
-    """Memo staleness key for a source file: (realpath, size, st_mtime_ns).
-
-    Second-granularity ``getmtime`` lets a file rewritten within one mtime
-    tick serve stale derived state (benchmark shingle sets, BPE merge
-    tables, PQ codebooks); nanosecond mtime plus size closes that window.
-    """
-    rp = os.path.realpath(path)
-    st = os.stat(rp)
-    return (rp, st.st_size, st.st_mtime_ns)

@@ -37,6 +37,7 @@ from ..stages.coalesce import coalesce_small
 from ..functions.text import round6, tokenize_ws
 from ..functions.arrownp import list_matrix
 from ..stages.simsearch import _norm, emb_matrix
+from ..state.memo import fetch, memo
 
 VOCAB_K = 20
 TRAIN_PCT = 75
@@ -269,9 +270,6 @@ BPE_MERGE_ROUNDS = 3
 BPE_PLACEHOLDER_BASE = 0xE000
 
 
-_BPE_MERGE_MEMO: dict = {}
-
-
 def _train_merges(sf_dir: str,
                   rounds: int = BPE_MERGE_ROUNDS) -> list[tuple[str, int]]:
     """The BPE TRAINING LOOP, distributed: ``rounds`` full merge
@@ -279,16 +277,16 @@ def _train_merges(sf_dir: str,
     adjacent symbol pairs over the corpus re-symbolized by all previous
     merges, takes the global argmax (count desc, pair asc), and records
     it as the round's merge rule.  Returns [(pair, count)] in rank
-    order.  Memoized per documents file (the PQ-codebook-memo
-    discipline: (realpath, mtime) staleness key; the value is a tiny
-    plain list with no object-store refs, so it survives Ray session
-    turnover) — the merge-table and encode consumers share one run."""
-    from . import file_key
+    order.  Memoized per (documents file, Ray job, rounds)
+    (``state/memo``) — the merge-table and encode consumers share one
+    run."""
+    return memo(
+        "analytics.bpe_merges", os.path.join(sf_dir, "documents.parquet"),
+        lambda: _train_merges_build(sf_dir, rounds), rounds,
+    )
 
-    key = (*file_key(os.path.join(sf_dir, "documents.parquet")), rounds)
-    got = _BPE_MERGE_MEMO.get(key)
-    if got is not None:
-        return got
+
+def _train_merges_build(sf_dir: str, rounds: int) -> list[tuple[str, int]]:
     merges: list[tuple[str, str]] = []
     out: list[tuple[str, int]] = []
     for r in range(rounds):
@@ -314,8 +312,6 @@ def _train_merges(sf_dir: str,
         pair, n = top[0]["pair"], int(top[0]["n"])
         out.append((pair, n))
         merges.append((pair, chr(BPE_PLACEHOLDER_BASE + r)))
-    _BPE_MERGE_MEMO.clear()
-    _BPE_MERGE_MEMO[key] = out
     return out
 
 
@@ -417,14 +413,8 @@ def _load_centroids(sf_dir: str, k: int = KMEANS_K) -> np.ndarray:
     return np.array(embs, dtype=np.float64)
 
 
-_CENT_CACHE: dict = {}
-
-
 def _assign_batch(batch: pa.Table, cent_ref) -> pa.Table:
-    key = cent_ref.hex() if hasattr(cent_ref, "hex") else id(cent_ref)
-    cents = _CENT_CACHE.get(key)
-    if cents is None:
-        cents = _CENT_CACHE[key] = ray.get(cent_ref)
+    cents = fetch(cent_ref)
     vec_ids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
     vecs = emb_matrix(batch.column("embedding"))
     # rounded cosine, ties -> lowest centroid index (argmax on reversed
@@ -493,10 +483,7 @@ def train_centroids(ds, cents: np.ndarray, iters: int) -> np.ndarray:
         cent_ref = ray.put(cents)
 
         def partial_update(batch: pa.Table, cent_ref=cent_ref) -> pa.Table:
-            key = cent_ref.hex()
-            c = _CENT_CACHE.get(key)
-            if c is None:
-                c = _CENT_CACHE[key] = ray.get(cent_ref)
+            c = fetch(cent_ref)
             vecs = emb_matrix(batch.column("embedding"))
             cos = np.floor((_norm(vecs) @ _norm(c).T) * 1e6 + 0.5) / 1e6
             cl = cos.argmax(axis=1)

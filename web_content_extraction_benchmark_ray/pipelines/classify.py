@@ -21,6 +21,8 @@ pull is bounded by block count, not data size.
 """
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -29,6 +31,7 @@ import pyarrow.compute as pc
 from ..functions.arrownp import list_matrix, num_col
 from ..functions.hashing import hash60
 from ..functions.text import round6
+from ..state.memo import memo
 
 CLF_ITERS = 20
 CLF_LRD = 2  # learning rate = 1 / CLF_LRD
@@ -102,20 +105,16 @@ def _median_complexity(sf_dir: str) -> float:
     return float(qdf["value"][0])
 
 
-_FX_MEMO: dict = {}
-
-
 def clf_examples(sf_dir: str):
     """Materialized Dataset (doc_id, xq list<int64>[16], y, split): the
     15 features + bias quantized, label = complexity >= global median,
-    deterministic content-hash split.  Memoized per (corpus fingerprint,
-    Ray session) — five consumers (classify, alignment, projection, both
-    scatter frames) start from this same join, which dominates their
-    cost; one process computes it once (the _aug_band_rows discipline)."""
-    from .dataops import _corpus_memo
-
-    return _corpus_memo(
-        sf_dir, _FX_MEMO, lambda: _clf_examples_build(sf_dir)
+    deterministic content-hash split.  Memoized per (documents file, Ray
+    job) (``state/memo``) — five consumers (classify, alignment,
+    projection, both scatter frames) start from this same join, which
+    dominates their cost; one process computes it once."""
+    return memo(
+        "classify.examples", os.path.join(sf_dir, "documents.parquet"),
+        lambda: _clf_examples_build(sf_dir).materialize(),
     )
 
 
@@ -156,7 +155,6 @@ def _clf_examples_build(sf_dir: str):
             }
         )
 
-    # no trailing materialize: _corpus_memo materializes the built dataset
     return joined.map_batches(quantize, batch_format="pyarrow")
 
 
@@ -180,26 +178,22 @@ def train_weights(train_ds, n_train: int, iters: int = CLF_ITERS) -> np.ndarray:
     return w
 
 
-_W_MEMO: dict = {}
-
-
 def trained_weights(sf_dir: str) -> list[int]:
-    """Final integer GD weights, memoized per (corpus fingerprint, Ray
-    session): complexity_classify and the classes scatter frame share
-    the 20-iteration training instead of repeating it."""
-    from .dataops import _session_key
+    """Final integer GD weights, memoized like ``clf_examples``:
+    complexity_classify and the classes scatter frame share the
+    20-iteration training instead of repeating it."""
 
-    key = _session_key(sf_dir)
-    hit = _W_MEMO.get(key)
-    if hit is None:
-        _W_MEMO.clear()
-        fx = clf_examples(sf_dir)
+    def build():
         # materialize the filtered split once: the count pass plus the
         # 20 GD iterations would otherwise re-run the filter scan 21x
-        train_ds = fx.filter(expr="split == 'train'").materialize()
-        w = train_weights(train_ds, train_ds.count())
-        hit = _W_MEMO[key] = [int(v) for v in w]
-    return hit
+        train_ds = clf_examples(sf_dir).filter(
+            expr="split == 'train'"
+        ).materialize()
+        return [int(v) for v in train_weights(train_ds, train_ds.count())]
+
+    return memo(
+        "classify.weights", os.path.join(sf_dir, "documents.parquet"), build
+    )
 
 
 def complexity_classify(sf_dir: str):

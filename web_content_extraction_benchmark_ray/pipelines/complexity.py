@@ -29,6 +29,7 @@ from ..functions.text import squeeze_ws, sub_common_entities, tokenize_words
 from ..sources.storage import read_table
 from ..sources.synth import build_spans_table
 from ..stages.reassemble import reassemble
+from ..state.memo import cached_parquet
 from .evalpipe import _round6, join_partitions, truth_plaintext
 
 FEATURE_TAGS = (
@@ -172,36 +173,14 @@ def complexity_pipeline(sf_dir: str):
     return joined.map_batches(_finish_complexity, batch_format="pyarrow")
 
 
-_COMPL_CACHE: dict[str, str] = {}
-
-
 def complexity_parquet(sf_dir: str) -> str:
-    """Compute the per-doc complexity table once per sf_dir and cache it
-    as parquet under /tmp (quantiles need a second pass; the banded eval
-    aggregation reuses it too).  Stable md5 key + source marker."""
-    import hashlib
-    import os
-    import shutil
-
-    if sf_dir not in _COMPL_CACHE:
-        src = os.path.abspath(sf_dir)
-        tag = hashlib.md5(src.encode()).hexdigest()[:16]
-        out = f"/tmp/wceb_cache/complexity-{tag}"
-        marker = os.path.join(out, "_SOURCE")
-        valid = False
-        if os.path.isdir(out) and os.listdir(out):
-            try:
-                with open(marker) as f:
-                    valid = f.read().strip() == src
-            except OSError:
-                valid = False
-        if not valid:
-            shutil.rmtree(out, ignore_errors=True)
-            complexity_pipeline(sf_dir).write_parquet(out)
-            with open(marker, "w") as f:
-                f.write(src)
-        _COMPL_CACHE[sf_dir] = out
-    return _COMPL_CACHE[sf_dir]
+    """Compute the per-doc complexity table once per (corpus, code
+    version) and cache it as parquet (``state/memo.cached_parquet``):
+    quantiles need a second pass; the banded eval aggregation reuses it
+    too."""
+    return cached_parquet(
+        "complexity", sf_dir, lambda: complexity_pipeline(sf_dir)
+    )
 
 
 def complexity_ds(sf_dir: str):

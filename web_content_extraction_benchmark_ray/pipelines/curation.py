@@ -41,6 +41,7 @@ from ..functions.hashing import hash60, shingles
 from ..functions.text import tokenize_ws
 from ..sources.storage import read_table
 from ..stages.coalesce import coalesce_small
+from ..state.memo import fetch, memo
 
 # --------------------------------------------------------------- constants
 # Benchmark membership: every DECON_EVERY-th doc is an "eval benchmark"
@@ -70,23 +71,13 @@ def _docs(sf_dir: str):
 
 
 # ---------------------------------------------------------- decontaminate
-_BENCH_SET_MEMO: dict = {}
-
-
 def _bench_shingle_set(sf_dir: str):
     """Distinct shingle hashes of the benchmark docs, built distributed
-    and collected once (the benchmark side is small by construction).
-    Memoized per documents file — decontaminate and the composed
-    curate_corpus share one build (the value is a plain sorted int64
-    array, no object-store refs, so it survives Ray session turnover)."""
+    and collected once (the benchmark side is small by construction), as
+    a sorted int64 array.  Memoized per (documents file, Ray job)
+    (``state/memo``): decontaminate and the composed curate_corpus share
+    one build."""
     import os
-
-    from . import file_key
-
-    key = file_key(os.path.join(sf_dir, "documents.parquet"))
-    got = _BENCH_SET_MEMO.get(key)
-    if got is not None:
-        return got
 
     def bench_hashes(batch: pa.Table) -> pa.Table:
         out: set[int] = set()
@@ -98,17 +89,16 @@ def _bench_shingle_set(sf_dir: str):
                 out.update(hash60(s) for s in shingles(text))
         return pa.table({"h": pa.array(sorted(out), pa.int64())})
 
-    parts = _docs(sf_dir).map_batches(bench_hashes, batch_format="pyarrow")
-    hs: set[int] = set()
-    for b in parts.iter_batches(batch_format="pyarrow"):
-        hs.update(b.column("h").to_pylist())
-    out = np.array(sorted(hs), dtype=np.int64)
-    _BENCH_SET_MEMO.clear()
-    _BENCH_SET_MEMO[key] = out
-    return out
+    def build():
+        parts = _docs(sf_dir).map_batches(bench_hashes, batch_format="pyarrow")
+        hs: set[int] = set()
+        for b in parts.iter_batches(batch_format="pyarrow"):
+            hs.update(b.column("h").to_pylist())
+        return np.array(sorted(hs), dtype=np.int64)
 
-
-_BCAST_CACHE: dict = {}
+    return memo(
+        "curation.bench_set", os.path.join(sf_dir, "documents.parquet"), build
+    )
 
 
 def _shingle_overlap(text: str, bench: np.ndarray) -> tuple[int, int]:
@@ -138,10 +128,7 @@ def decontaminate(sf_dir: str):
     bench_ref = ray.put(_bench_shingle_set(sf_dir))
 
     def scan(batch: pa.Table, bench_ref=bench_ref) -> pa.Table:
-        key = bench_ref.hex()
-        bench = _BCAST_CACHE.get(key)
-        if bench is None:
-            bench = _BCAST_CACHE[key] = ray.get(bench_ref)
+        bench = fetch(bench_ref)
         ids, n_sh, n_ov, flag = [], [], [], []
         for doc_id, text in zip(
             batch.column("doc_id").to_pylist(),
@@ -165,9 +152,6 @@ def decontaminate(sf_dir: str):
 
 
 # ------------------------------------------------------------- pack_shards
-_OFFSET_CACHE: dict = {}
-
-
 def _bucket_offsets(idx, value_col: str | None, *, descending: bool = False,
                     bucket_col: str = "bucket"):
     """Level 1 of the two-level distributed scan shared by every
@@ -176,7 +160,7 @@ def _bucket_offsets(idx, value_col: str | None, *, descending: bool = False,
     (``Sum(value_col)``, or ``Count()`` when None) prefix-summed ONCE on
     the driver into exclusive bucket offsets.  Returns
     ``(off_ref, grand_total)``; workers fetch the dict once per process
-    via ``_cached_offsets``."""
+    with ``fetch``."""
     from ray.data.aggregate import Count, Sum
 
     agg = Count() if value_col is None else Sum(value_col)
@@ -196,15 +180,6 @@ def _bucket_offsets(idx, value_col: str | None, *, descending: bool = False,
         )
     )
     return ray.put(offsets), int(vals.sum())
-
-
-def _cached_offsets(off_ref) -> dict:
-    """Per-worker-process cache of the broadcast offsets dict."""
-    key = off_ref.hex()
-    offs = _OFFSET_CACHE.get(key)
-    if offs is None:
-        offs = _OFFSET_CACHE[key] = ray.get(off_ref)
-    return offs
 
 
 def pack_shards(sf_dir: str, range_size: int = PACK_RANGE,
@@ -238,7 +213,7 @@ def pack_shards(sf_dir: str, range_size: int = PACK_RANGE,
     off_ref, _ = _bucket_offsets(cnt, "n_tokens")
 
     def assign(group: pa.Table, off_ref=off_ref) -> pa.Table:
-        offs = _cached_offsets(off_ref)
+        offs = fetch(off_ref)
         ids = np.asarray(group.column("doc_id").to_pylist(), dtype=np.int64)
         tok = np.asarray(
             group.column("n_tokens").to_pylist(), dtype=np.int64
@@ -314,7 +289,7 @@ def select_budget(sf_dir: str, budget: int = SELECT_BUDGET):
     off_ref, _ = _bucket_offsets(idx, "n_tokens", descending=True)
 
     def assign(group: pa.Table, off_ref=off_ref) -> pa.Table:
-        offs = _cached_offsets(off_ref)
+        offs = fetch(off_ref)
         ids = np.asarray(group.column("doc_id").to_pylist(), dtype=np.int64)
         q = np.asarray(group.column("q_mu").to_pylist(), dtype=np.int64)
         tok = np.asarray(group.column("n_tokens").to_pylist(), dtype=np.int64)
@@ -411,7 +386,7 @@ def source_mix(sf_dir: str, budget: int = SELECT_BUDGET):
     off_ref = ray.put(offsets)
 
     def assign(group: pa.Table, off_ref=off_ref) -> pa.Table:
-        offs = _cached_offsets(off_ref)
+        offs = fetch(off_ref)
         ids = np.asarray(group.column("doc_id").to_pylist(), dtype=np.int64)
         q = np.asarray(group.column("q_mu").to_pylist(), dtype=np.int64)
         tok = np.asarray(group.column("n_tokens").to_pylist(), dtype=np.int64)
@@ -498,7 +473,7 @@ def quality_tiers(sf_dir: str, k: int = TIER_K):
     cutoff = rem * (small + 1)
 
     def assign(group: pa.Table, off_ref=off_ref) -> pa.Table:
-        offs = _cached_offsets(off_ref)
+        offs = fetch(off_ref)
         ids = np.asarray(group.column("doc_id").to_pylist(), dtype=np.int64)
         q = np.asarray(group.column("q_mu").to_pylist(), dtype=np.int64)
         tok = np.asarray(group.column("n_tokens").to_pylist(), dtype=np.int64)
@@ -655,7 +630,7 @@ def shuffle_order(sf_dir: str, seed: str = SHUFFLE_SEED,
     off_ref, _ = _bucket_offsets(idx, None)
 
     def assign(group: pa.Table, off_ref=off_ref) -> pa.Table:
-        offs = _cached_offsets(off_ref)
+        offs = fetch(off_ref)
         ids = np.asarray(group.column("doc_id").to_pylist(), dtype=np.int64)
         h = np.asarray(group.column("h").to_pylist(), dtype=np.int64)
         order = np.lexsort((ids, h))  # h asc, doc_id asc
@@ -721,7 +696,7 @@ def pack_sequences(sf_dir: str, seq_len: int = SEQ_LEN,
     off_ref, _ = _bucket_offsets(idx, "n_tokens")
 
     def assign(group: pa.Table, off_ref=off_ref) -> pa.Table:
-        offs = _cached_offsets(off_ref)
+        offs = fetch(off_ref)
         ids = np.asarray(group.column("doc_id").to_pylist(), dtype=np.int64)
         h = np.asarray(group.column("h").to_pylist(), dtype=np.int64)
         tok = np.asarray(
@@ -810,7 +785,6 @@ def curate_corpus(sf_dir: str, range_size: int = PACK_RANGE,
 
     from ..functions.textstats import STOPWORDS
     from ..stages import dedup as dd
-    from ..stages.simsearch import _get_broadcast
     from .dataops import _aug_docs
     from .qualityops import gopher_mask
 
@@ -818,7 +792,7 @@ def curate_corpus(sf_dir: str, range_size: int = PACK_RANGE,
     bench_ref = ray.put(_bench_shingle_set(sf_dir))
 
     def signals(batch: pa.Table, bench_ref=bench_ref) -> pa.Table:
-        bench = _get_broadcast(bench_ref)
+        bench = fetch(bench_ref)
         ids = batch.column("doc_id").to_pylist()
         texts = batch.column("text").to_pylist()
         hs, ntoks, masks = [], [], []
@@ -880,7 +854,7 @@ def curate_corpus(sf_dir: str, range_size: int = PACK_RANGE,
     off_ref, _ = _bucket_offsets(kept_idx, "n_tokens")
 
     def assign(group: pa.Table, off_ref=off_ref) -> pa.Table:
-        offs = _cached_offsets(off_ref)
+        offs = fetch(off_ref)
         ids = np.asarray(group.column("doc_id").to_pylist(), dtype=np.int64)
         tok = np.asarray(
             group.column("n_tokens").to_pylist(), dtype=np.int64

@@ -28,6 +28,7 @@ from ..functions.textstats import lang_id, quality_features, token_counts
 from ..stages import dedup as dd
 from ..stages import simsearch as ss
 from ..stages.media import decode_media
+from ..state.memo import fetch, memo
 
 EXACT_COPY_EVERY = 10
 EXACT_COPY_OFFSET = 2_000_000
@@ -236,9 +237,7 @@ def dedup_incremental(sf_dir: str, bloom_bits: int | None = None):
     ref = ray.put(bloom)
 
     def classify(batch: pa.Table) -> pa.Table:
-        from ..stages.simsearch import _get_broadcast
-
-        bits = _get_broadcast(ref)
+        bits = fetch(ref)
         ids = np.asarray(
             [int(i) for i in batch.column("doc_id").to_pylist()],
             dtype=np.int64,
@@ -301,9 +300,7 @@ def dedup_incremental(sf_dir: str, bloom_bits: int | None = None):
     hb_ref = ray.put(hit_buckets)
 
     def ref_rows(b: pa.Table) -> pa.Table:
-        from ..stages.simsearch import _get_broadcast
-
-        hb = _get_broadcast(hb_ref)
+        hb = fetch(hb_ref)
         h = np.asarray(b.column("h").to_pylist(), dtype=np.int64)
         bucket = (h % nb + nb) % nb
         keep = np.isin(bucket, hb)
@@ -436,7 +433,7 @@ def dedup_incremental_minhash(sf_dir: str, bloom_bits: int | None = None):
         # increment is mostly novel) are consumed by nothing downstream
         # — novelty comes from the arithmetic inc_ids anti-join — so
         # pinning their signatures would waste the object store
-        bits = ss._get_broadcast(bloom_ref)
+        bits = fetch(bloom_ref)
         hs = np.asarray(
             [int(k[:15], 16) for k in b.column("band_key").to_pylist()],
             dtype=np.int64,
@@ -476,7 +473,7 @@ def dedup_incremental_minhash(sf_dir: str, bloom_bits: int | None = None):
         )
 
     def ref_side(b: pa.Table) -> pa.Table:
-        hb = ss._get_broadcast(hb_ref)
+        hb = fetch(hb_ref)
         bucket = np.asarray(b.column("bucket").to_pylist(), dtype=np.int64)
         t = b.filter(pa.array(np.isin(bucket, hb)))
         return t.append_column(
@@ -563,52 +560,20 @@ def dedup_fingerprint_survivors(sf_dir: str):
     return dd.neardup_survivors(docs, pairs)
 
 
-_MH_BAND_MEMO: dict = {}
-
-
-def _session_key(sf_dir: str) -> tuple:
-    """(documents-file fingerprint, Ray job id): stale corpus OR a new
-    Ray session invalidates (object refs die with the session)."""
-    import ray as _ray
-
-    from . import file_key
-
-    job = (
-        _ray.get_runtime_context().get_job_id()
-        if _ray.is_initialized()
-        else None
-    )
-    return (*file_key(os.path.join(sf_dir, "documents.parquet")), job)
-
-
-def _corpus_memo(sf_dir: str, memo: dict, build):
-    """Per-corpus materialized-dataset memo (the PQ-codebook-memo
-    discipline): the key carries the documents file's fingerprint
-    (stale corpus -> recompute, the _pq_train rule) AND the Ray job id —
-    the memoized value is a materialized Dataset whose object refs die
-    with the Ray session, so a shutdown/re-init must not serve dead
-    refs.  At most one (corpus x session) entry stays pinned."""
-    key = _session_key(sf_dir)
-    ds = memo.get(key)
-    if ds is None:
-        memo.clear()
-        ds = memo[key] = build().materialize()
-    return ds
-
-
 def _aug_band_rows(sf_dir: str):
     """Materialized wide-space MinHash band rows of the augmented view,
-    memoized per documents file: pairs, survivors, the cluster-size
-    histogram and the incremental screen all start from the same
-    signature pass, which dominates the family's cost — one process
-    computes it once.  ~200 B/band-row, object-store resident."""
-    return _corpus_memo(
-        sf_dir, _MH_BAND_MEMO,
+    memoized per (documents file, Ray job) (``state/memo``): pairs,
+    survivors, the cluster-size histogram and the incremental screen all
+    start from the same signature pass, which dominates the family's
+    cost — one process computes it once.  ~200 B/band-row,
+    object-store resident."""
+    return memo(
+        "dataops.mh_band_rows", os.path.join(sf_dir, "documents.parquet"),
         lambda: _aug_docs(sf_dir).map_batches(
             dd.minhash_band_rows,
             fn_kwargs={"num_buckets": dd.WIDE_PAIR_SPACE},
             batch_format="pyarrow",
-        ),
+        ).materialize(),
     )
 
 
@@ -667,47 +632,47 @@ def dup_cluster_sizes(sf_dir: str):
     return hist.sort("size")
 
 
-_DECON_POST_MEMO: dict = {}
-
-
 def _decon_posting_ref(sf_dir: str):
     """Capped benchmark band-posting dict as a broadcast ObjectRef,
-    memoized per (corpus, Ray session) exactly like ``_aug_band_rows`` —
-    decontaminate_fuzzy and its survivors view share one driver-side
-    posting collection + one ``ray.put`` instead of rebuilding per
-    invocation."""
+    memoized like ``_aug_band_rows`` — decontaminate_fuzzy and its
+    survivors view share one driver-side posting collection + one
+    ``ray.put`` instead of rebuilding per invocation.  The lists dropped
+    over the cap are memoized with the ref and counted on every call,
+    hit or miss, so CAP_DROP_COUNT moves for every query that runs on a
+    capped posting."""
     from .curation import DECON_EVERY
-
-    # the cap is part of the key: a changed WCEB_LSH_POSTING_CAP (or a
-    # test monkeypatch) must not be served a posting built under the old cap
-    key = (*_session_key(sf_dir), dd.LSH_POSTING_CAP)
-    ref = _DECON_POST_MEMO.get(key)
-    if ref is not None:
-        return ref
 
     def bench_rows(batch: pa.Table) -> pa.Table:
         ids = np.asarray(batch.column("doc_id").to_pylist(), dtype=np.int64)
         keep = (ids % DECON_EVERY == 0) & (ids < NEAR_DUP_OFFSET)
         return batch.filter(pa.array(keep))
 
-    posting: dict = {}
-    for b in _aug_band_rows(sf_dir).map_batches(
-        bench_rows, batch_format="pyarrow"
-    ).iter_batches(batch_format="pyarrow"):
-        sig_mat = list_matrix(b.column("sig"), np.int64)
-        for i, (band, k, bid) in enumerate(
-            zip(
-                b.column("band_id").to_pylist(),
-                b.column("band_key").to_pylist(),
-                b.column("doc_id").to_pylist(),
-            )
-        ):
-            posting.setdefault((band, k), []).append(
-                (int(bid), sig_mat[i])
-            )
-    posting = dd._cap_posting(posting, "decontaminate_fuzzy")
-    _DECON_POST_MEMO.clear()
-    ref = _DECON_POST_MEMO[key] = ray.put(posting)
+    def build():
+        posting: dict = {}
+        for b in _aug_band_rows(sf_dir).map_batches(
+            bench_rows, batch_format="pyarrow"
+        ).iter_batches(batch_format="pyarrow"):
+            sig_mat = list_matrix(b.column("sig"), np.int64)
+            for i, (band, k, bid) in enumerate(
+                zip(
+                    b.column("band_id").to_pylist(),
+                    b.column("band_key").to_pylist(),
+                    b.column("doc_id").to_pylist(),
+                )
+            ):
+                posting.setdefault((band, k), []).append(
+                    (int(bid), sig_mat[i])
+                )
+        posting, over = dd._split_cap(posting)
+        return ray.put(posting), over
+
+    # the cap is part of the key: a changed WCEB_LSH_POSTING_CAP (or a
+    # test monkeypatch) must not be served a posting built under the old cap
+    ref, over = memo(
+        "dataops.decon_posting", os.path.join(sf_dir, "documents.parquet"),
+        build, dd.LSH_POSTING_CAP,
+    )
+    dd._note_cap_drops(over, "decontaminate_fuzzy")
     return ref
 
 
@@ -725,7 +690,7 @@ def decontaminate_fuzzy(sf_dir: str):
     catch); benchmark = every DECON_EVERY-th BASE doc, as in the exact
     op.  Scale shape: the benchmark side is small by construction
     (curation.py:46), so its band postings collect once and BROADCAST
-    (``ray.put`` + per-worker cache) — the corpus streams through ONE
+    (``ray.put`` + ``state/memo.fetch``) — the corpus streams through ONE
     stateless probe over the memoized ``_aug_band_rows`` signature pass
     with ZERO shuffles, unlike the in-corpus dedup family's bucket sort;
     nothing here is per-corpus-size state.  Benchmark posting lists over
@@ -737,7 +702,7 @@ def decontaminate_fuzzy(sf_dir: str):
     post_ref = _decon_posting_ref(sf_dir)
 
     def probe(batch: pa.Table, post_ref=post_ref) -> pa.Table:
-        post = ss._get_broadcast(post_ref)
+        post = fetch(post_ref)
         sig_mat = list_matrix(batch.column("sig"), np.int64)
         a_out, b_out, j_out = [], [], []
         for i, (band, key, did) in enumerate(
@@ -793,18 +758,14 @@ def decontaminate_fuzzy_survivors(sf_dir: str):
     return dd.anti_join_doc_ids(_aug_ids(sf_dir), flagged)
 
 
-_SIMHASH_MEMO: dict = {}
-
-
 def _aug_simhash_rows(sf_dir: str):
-    """Materialized simhash rows of the augmented view — the
-    _aug_band_rows memo for the simhash family (signature and pair
-    queries share one hash pass)."""
-    return _corpus_memo(
-        sf_dir, _SIMHASH_MEMO,
+    """Materialized simhash rows of the augmented view, memoized like
+    _aug_band_rows (signature and pair queries share one hash pass)."""
+    return memo(
+        "dataops.simhash_rows", os.path.join(sf_dir, "documents.parquet"),
         lambda: _aug_docs(sf_dir).map_batches(
             dd.simhash_rows, batch_format="pyarrow"
-        ),
+        ).materialize(),
     )
 
 
@@ -982,9 +943,7 @@ def pq_encode(sf_dir: str):
     final_ref = ray.put(books)
 
     def encode(batch: pa.Table, final_ref=final_ref) -> pa.Table:
-        from ..stages.simsearch import _get_broadcast
-
-        bks = _get_broadcast(final_ref)
+        bks = fetch(final_ref)
         ids = [int(i) for i in batch.column("vec_id").to_pylist()]
         Xq = np.floor(
             list_matrix(batch.column("embedding"), np.float64) * 1e6 + 0.5
@@ -1023,28 +982,21 @@ def _pq_inputs(path: str):
     return ds, _hash_sample(ds, n_rows, KMEANS_TRAIN_MAX).materialize()
 
 
-_PQ_BOOK_CACHE: dict = {}
-
-
 def _pq_train(ds, sf_dir: str) -> tuple[list, int]:
     """The distributed integer-Lloyd PQ codebook trainer of ``pq_encode``
     (see its docstring for the exactness contract); returns
     ([PQ_M x (PQ_K, sub) int64 codebooks], sub).
 
     Training is deterministic per corpus, so the (tiny) books memoize
-    per embeddings file in the driver process — pq_encode, pq_search
-    and ann_recall share one training run instead of three."""
-    import os as _os
+    per (embeddings file, Ray job) (``state/memo``) — pq_encode,
+    pq_search and ann_recall share one training run instead of three."""
+    return memo(
+        "dataops.pq_books", os.path.join(sf_dir, "embeddings.parquet"),
+        lambda: _pq_fit(ds, sf_dir),
+    )
 
-    from . import file_key
 
-    path = _os.path.join(sf_dir, "embeddings.parquet")
-    try:
-        key = file_key(path)
-    except OSError:
-        key = None
-    if key is not None and key in _PQ_BOOK_CACHE:
-        return _PQ_BOOK_CACHE[key]
+def _pq_fit(ds, sf_dir: str) -> tuple[list, int]:
     from ..functions.arrownp import list_matrix
     from .analytics import _load_centroids
 
@@ -1060,9 +1012,7 @@ def _pq_train(ds, sf_dir: str) -> tuple[list, int]:
         book_ref = ray.put(books)
 
         def partial(batch: pa.Table, book_ref=book_ref) -> pa.Table:
-            from ..stages.simsearch import _get_broadcast
-
-            bks = _get_broadcast(book_ref)
+            bks = fetch(book_ref)
             Xq = np.floor(
                 list_matrix(batch.column("embedding"), np.float64) * 1e6
                 + 0.5
@@ -1109,9 +1059,6 @@ def _pq_train(ds, sf_dir: str) -> tuple[list, int]:
         for _, row in upd.iterrows():
             mk = int(row["mk"])
             books[mk // PQ_K][mk % PQ_K] = np.array(row["cq"], np.int64)
-
-    if key is not None:
-        _PQ_BOOK_CACHE[key] = (books, sub)
     return books, sub
 
 
@@ -1149,9 +1096,7 @@ def pq_search(sf_dir: str):
     ref = ray.put((qids, books, luts))
 
     def partial(batch: pa.Table, ref=ref) -> pa.Table:
-        from ..stages.simsearch import _get_broadcast
-
-        q_ids, bks, lts = _get_broadcast(ref)
+        q_ids, bks, lts = fetch(ref)
         vec_ids = np.asarray(
             [int(i) for i in batch.column("vec_id").to_pylist()], np.int64
         )
@@ -1338,7 +1283,7 @@ def semdedup_flags(ds, cents: np.ndarray):
     ncent_ref = ray.put(ss._norm(np.asarray(cents, dtype=np.float64)))
 
     def ref_partial(batch: pa.Table) -> pa.Table:
-        ncents = ss._get_broadcast(ncent_ref)
+        ncents = fetch(ncent_ref)
         ids = ss.num_col(batch.column("vec_id"), np.int64)
         if len(ids) == 0:
             return pa.table(
@@ -1390,8 +1335,8 @@ def semdedup_flags(ds, cents: np.ndarray):
     ref_ref = ray.put(ref_map)
 
     def flag(batch: pa.Table) -> pa.Table:
-        ncents = ss._get_broadcast(ncent_ref)
-        rmap = ss._get_broadcast(ref_ref)
+        ncents = fetch(ncent_ref)
+        rmap = fetch(ref_ref)
         ids = ss.num_col(batch.column("vec_id"), np.int64)
         if len(ids) == 0:
             return pa.table(
@@ -1673,9 +1618,7 @@ def _ngram_logprob(sf_dir: str, grams_of, key_col: str, n_col: str,
         ref = ray.put(counts)
 
         def score(batch: pa.Table) -> pa.Table:
-            from ..stages.simsearch import _get_broadcast
-
-            cmap = _get_broadcast(ref)
+            cmap = fetch(ref)
             ids = batch.column("doc_id").to_pylist()
             n_out, s_out, q_out = [], [], []
             for t in batch.column("text").to_pylist():
@@ -1792,15 +1735,11 @@ def _ngram_logprob(sf_dir: str, grams_of, key_col: str, n_col: str,
 DSIR_TARGET_EVERY = 10
 
 
-_DSIR_VOCAB_MEMO: dict = {}
-
-
 def _dsir_vocab(sf_dir: str):
     """Materialized (tok, c_raw, c_tgt) vocab table for the DSIR family,
-    memoized per documents file (the _aug_band_rows discipline): the
-    wordcount pass dominates the family's cost and importance_weights /
-    importance_resample both start from it — one process computes it
-    once per corpus."""
+    memoized like _aug_band_rows: the wordcount pass dominates the
+    family's cost and importance_weights / importance_resample both
+    start from it — one process computes it once per corpus."""
     from collections import Counter
 
     from ..stages.vecagg import bucketed_groupby
@@ -1827,12 +1766,12 @@ def _dsir_vocab(sf_dir: str):
             }
         )
 
-    return _corpus_memo(
-        sf_dir, _DSIR_VOCAB_MEMO,
+    return memo(
+        "dataops.dsir_vocab", os.path.join(sf_dir, "documents.parquet"),
         lambda: bucketed_groupby(
             _docs(sf_dir).map_batches(wc, batch_format="pyarrow"),
             "tok", ["c_raw", "c_tgt"], ["sum", "sum"],
-        ),
+        ).materialize(),
     )
 
 
@@ -1882,9 +1821,7 @@ def importance_weights(sf_dir: str, broadcast_max_types: int | None = None):
         ref = ray.put(wmap)
 
         def score(batch: pa.Table) -> pa.Table:
-            from ..stages.simsearch import _get_broadcast
-
-            w = _get_broadcast(ref)
+            w = fetch(ref)
             ids = batch.column("doc_id").to_pylist()
             n_out, s_out = [], []
             for t in batch.column("text").to_pylist():
@@ -2015,7 +1952,7 @@ def importance_resample(sf_dir: str, range_size: int | None = None):
     corpus x1 for nothing).  Overflow: the per-group counts use Python
     ints (exact at any scale); the SQL twin casts to HUGEINT.
     """
-    from .curation import PACK_RANGE, _bucket_offsets, _cached_offsets
+    from .curation import PACK_RANGE, _bucket_offsets
 
     if range_size is None:
         range_size = PACK_RANGE
@@ -2046,7 +1983,7 @@ def importance_resample(sf_dir: str, range_size: int | None = None):
 
     def assign(group: pa.Table, off_ref=off_ref, n=n_docs,
                tw=total_w) -> pa.Table:
-        offs = _cached_offsets(off_ref)
+        offs = fetch(off_ref)
         ids = np.asarray(group.column("doc_id").to_pylist(), dtype=np.int64)
         w = np.asarray(group.column("w").to_pylist(), dtype=np.int64)
         order = np.argsort(ids)
@@ -2184,7 +2121,7 @@ def hash_embed_knn(sf_dir: str):
     q_ref = ray.put((qids, qmat))
 
     def partial(batch: pa.Table) -> pa.Table:
-        qi, qm = ss._get_broadcast(q_ref)
+        qi, qm = fetch(q_ref)
         ids = np.asarray(
             [int(x) for x in batch.column("doc_id").to_pylist()],
             dtype=np.int64,
@@ -2569,9 +2506,7 @@ def dup_span_stats(sf_dir: str, broadcast_max_types: int | None = None):
         ref = ray.put(dup_set)
 
         def score(batch: pa.Table) -> pa.Table:
-            from ..stages.simsearch import _get_broadcast
-
-            dset = _get_broadcast(ref)
+            dset = fetch(ref)
             ids_out, n_out, d_out = [], [], []
             for i, t in zip(
                 batch.column("doc_id").to_pylist(),
@@ -2732,9 +2667,7 @@ def dup_span_scrub(sf_dir: str, broadcast_max_types: int | None = None):
         ref = ray.put(dup_set)
 
         def scrub(batch: pa.Table) -> pa.Table:
-            from ..stages.simsearch import _get_broadcast
-
-            dset = _get_broadcast(ref)
+            dset = fetch(ref)
             ids, texts, n_toks, n_rem = [], [], [], []
             for i, t in zip(
                 batch.column("doc_id").to_pylist(),

@@ -10,10 +10,10 @@ layout keyed by (sf_dir, model), so each model's extraction is computed
 EXACTLY ONCE per corpus and every later consumer streams it back from
 disk.
 
-Layout (same discipline as the scores/complexity caches and the
-checkpoint store, ``state/checkpoint.py``)::
+Layout (keyed like every cache of derived state, ``state/memo.py``: the
+source files' ``file_key`` plus the package code fingerprint)::
 
-    /tmp/wceb_cache/extract-{md5(sf_dir)[:16]}/
+    /tmp/wceb_cache/extract-{md5(sf_dir, documents file_key)[:16]}-{code}/
       _SOURCE          absolute source path (stale/foreign guard)
       _MANIFEST.json   {"batches": {"b0000": ["bte", ...], ...}}
       b0000/*.parquet  full EXTRACTIONS-schema rows for those models
@@ -42,7 +42,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-CACHE_ROOT = "/tmp/wceb_cache"
+from ..state.memo import CACHE_ROOT, source_key
 
 _CODE_FP: str | None = None
 
@@ -50,7 +50,7 @@ _CODE_FP: str | None = None
 def _code_fingerprint() -> str:
     """Package-source fingerprint (relpath + mtime + size of every .py).
     Part of the cache key so an edited extractor can never serve stale
-    cached rows — a failure mode the scores cache historically risked."""
+    cached rows."""
     global _CODE_FP
     if _CODE_FP is None:
         import web_content_extraction_benchmark_ray as pkg
@@ -71,7 +71,10 @@ def _code_fingerprint() -> str:
 
 
 def _cache_dir(sf_dir: str) -> str:
-    tag = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:16]
+    docs = source_key(os.path.join(sf_dir, "documents.parquet"))
+    tag = hashlib.md5(
+        f"{os.path.abspath(sf_dir)}|{docs}".encode()
+    ).hexdigest()[:16]
     return os.path.join(
         CACHE_ROOT, f"extract-{tag}-{_code_fingerprint()}"
     )

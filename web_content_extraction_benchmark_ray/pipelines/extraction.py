@@ -30,21 +30,7 @@ from ..stages.reassemble import (
     reassemble,
     reassemble_salted,
 )
-
-
-_ROUTE_CACHE: dict = {}
-
-
-def _route_fingerprint(spans_path: str):
-    """Driver-side cache key: path + file listing stats, so repeated
-    pipeline calls over one table (bench, eval, the per-model queries)
-    probe/census once, and any rewrite invalidates."""
-    from . import file_key
-
-    return (
-        os.path.abspath(spans_path),
-        tuple(file_key(f) for f in table_files(spans_path)),
-    )
+from ..state.memo import memo
 
 
 def _resolve_heavy_ids(spans_path, heavy_lane_bytes, salted):
@@ -53,15 +39,20 @@ def _resolve_heavy_ids(spans_path, heavy_lane_bytes, salted):
     lane.  ``heavy_lane_bytes="auto"`` runs the metadata probe and, only
     when suspicious, the per-doc size census; an explicit int threshold
     runs the census directly (the round-2 post-assembly ``materialize``
-    lane split is gone — lanes now filter at the source)."""
+    lane split is gone — lanes now filter at the source).  Memoized per
+    (spans table files, Ray job, arguments) (``state/memo``), so repeated
+    pipeline calls over one table (bench, eval, the per-model queries,
+    the checkpoint partitions) probe/census once, and any rewrite
+    invalidates."""
     if heavy_lane_bytes is None:
         return None, bool(salted)
-    key = (_route_fingerprint(spans_path), heavy_lane_bytes, str(salted))
-    if key in _ROUTE_CACHE:
-        return _ROUTE_CACHE[key]
-    out = _resolve_heavy_ids_uncached(spans_path, heavy_lane_bytes, salted)
-    _ROUTE_CACHE[key] = out
-    return out
+    return memo(
+        "extraction.route", spans_path,
+        lambda: _resolve_heavy_ids_uncached(
+            spans_path, heavy_lane_bytes, salted
+        ),
+        heavy_lane_bytes, str(salted),
+    )
 
 
 def _resolve_heavy_ids_uncached(spans_path, heavy_lane_bytes, salted):

@@ -26,10 +26,13 @@ twin casts to HUGEINT before summing.
 """
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pyarrow as pa
 
 from ..functions.arrownp import list_matrix
+from ..state.memo import memo
 from .classify import SCALE, clf_examples
 
 PROJ_ITERS = 12
@@ -126,24 +129,18 @@ def _scatter_matrix(fx) -> list[list[int]]:
     ]
 
 
-_PV_MEMO: dict = {}
-
-
 def proj_vectors(sf_dir: str) -> tuple[list[int], list[int]]:
-    """The two integer eigenvectors, memoized per (corpus fingerprint,
-    Ray session): feature_project and both scatter frames share the
-    scan + power iteration instead of repeating it."""
-    from .dataops import _session_key
+    """The two integer eigenvectors, memoized per (documents file, Ray
+    job) (``state/memo``): feature_project and both scatter frames share
+    the scan + power iteration instead of repeating it."""
 
-    key = _session_key(sf_dir)
-    hit = _PV_MEMO.get(key)
-    if hit is None:
-        _PV_MEMO.clear()
+    def build():
         v1, v2 = _power_components(_scatter_matrix(clf_examples(sf_dir)))
-        hit = _PV_MEMO[key] = (
-            [int(x) for x in v1], [int(x) for x in v2]
-        )
-    return hit
+        return [int(x) for x in v1], [int(x) for x in v2]
+
+    return memo(
+        "project.vectors", os.path.join(sf_dir, "documents.parquet"), build
+    )
 
 
 def feature_project(sf_dir: str):

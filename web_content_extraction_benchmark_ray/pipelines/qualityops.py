@@ -48,6 +48,7 @@ from ..functions.hashing import hash60, shingles
 from ..functions.text import round6, tokenize_ws
 from ..functions.textstats import STOPWORDS, _PUNCT_RE
 from ..stages.vecagg import bucketed_groupby
+from ..state.memo import fetch
 from .dataops import (
     UNIGRAM_BROADCAST_MAX_TYPES,
     _aug_docs,
@@ -225,9 +226,7 @@ def tfidf_topterms(sf_dir: str, k: int = TFIDF_TOPK,
         ref = ray.put(dmap)
 
         def score(batch: pa.Table) -> pa.Table:
-            from ..stages.simsearch import _get_broadcast
-
-            dm = _get_broadcast(ref)
+            dm = fetch(ref)
             ids, terms_l, tfs, dfs, rnks = [], [], [], [], []
             for i, t in zip(
                 batch.column("doc_id").to_pylist(),
@@ -381,9 +380,7 @@ def line_dedup(sf_dir: str, broadcast_max_types: int | None = None):
         ref = ray.put(dup_set)
 
         def scrub(batch: pa.Table) -> pa.Table:
-            from ..stages.simsearch import _get_broadcast
-
-            dset = _get_broadcast(ref)
+            dset = fetch(ref)
             ids, n_c, n_d, ch = [], [], [], []
             for i, t in zip(
                 batch.column("doc_id").to_pylist(),

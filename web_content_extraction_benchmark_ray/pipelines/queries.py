@@ -17,6 +17,7 @@ from ..functions.media import parse_media
 from ..sources.storage import read_spans, read_table
 from ..sources.synth import build_spans_table
 from ..stages.reassemble import reassemble
+from ..state.memo import cached_parquet
 
 
 def extraction_query(model: str):
@@ -231,41 +232,13 @@ def extraction_queries() -> dict:
 # ---------------------------------------------------------------------------
 # Evaluation / complexity / feature queries
 
-_SCORES_CACHE: dict[str, str] = {}
-
-
 def _scores_parquet(sf_dir: str) -> str:
-    """Score once per sf_dir, cache as parquet under /tmp (several queries
-    consume the same scores table)."""
-    import hashlib
-    import os
+    """Score once per (corpus, code version), cached as parquet
+    (``state/memo.cached_parquet``): several queries consume the same
+    scores table."""
+    from .evalpipe import scores_pipeline
 
-    if sf_dir not in _SCORES_CACHE:
-        from .evalpipe import scores_pipeline
-
-        # stable content digest (builtin hash() is per-process randomized);
-        # a marker file records the source path so a stale/foreign dir is
-        # never silently reused
-        src = os.path.abspath(sf_dir)
-        tag = hashlib.md5(src.encode()).hexdigest()[:16]
-        out = f"/tmp/wceb_cache/scores-{tag}"
-        marker = os.path.join(out, "_SOURCE")
-        valid = False
-        if os.path.isdir(out) and os.listdir(out):
-            try:
-                with open(marker) as f:
-                    valid = f.read().strip() == src
-            except OSError:
-                valid = False
-        if not valid:
-            import shutil
-
-            shutil.rmtree(out, ignore_errors=True)
-            scores_pipeline(sf_dir).write_parquet(out)
-            with open(marker, "w") as f:
-                f.write(src)
-        _SCORES_CACHE[sf_dir] = out
-    return _SCORES_CACHE[sf_dir]
+    return cached_parquet("scores", sf_dir, lambda: scores_pipeline(sf_dir))
 
 
 def _scores_ds(sf_dir: str):

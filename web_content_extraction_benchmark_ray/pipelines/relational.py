@@ -35,6 +35,7 @@ import ray
 
 from ..sources.storage import capped_num_blocks, read_table
 from ..stages.vecagg import bucketed_groupby
+from ..state.memo import fetch, memo
 
 # rollup subtotal marker (the tables' source/lang values never collide
 # with it; GROUPING()-gated in the SQL twin so real NULLs can't alias)
@@ -88,8 +89,9 @@ def _orders_join_agg(sf_dir: str, nb: int, label_name: str,
                      label_of, o_columns):
     """The co-group join core shared by ``join_revenue`` and
     ``revenue_by_region``: lineitem revenue rows join orders rows
-    labelled by ``label_of(batch)`` (a per-order string), aggregated to
-    (label_name, n_lines, revenue6)."""
+    labelled by ``label_of(batch)`` (a per-order string; None drops the
+    order, as an inner join drops a row with no dimension match),
+    aggregated to (label_name, n_lines, revenue6)."""
 
     def li_rows(batch: pa.Table) -> pa.Table:
         k = np.asarray(batch.column("l_orderkey").to_pylist(), np.int64)
@@ -117,16 +119,17 @@ def _orders_join_agg(sf_dir: str, nb: int, label_name: str,
     def o_rows(batch: pa.Table) -> pa.Table:
         k = np.asarray(batch.column("o_orderkey").to_pylist(), np.int64)
         z = np.zeros(len(k), np.int64)
+        prio = pa.array(label_of(batch), pa.string())
         return pa.table(
             {
                 "bucket": pa.array(k % nb, pa.int64()),
                 "orderkey": pa.array(k, pa.int64()),
                 "side": pa.array(z + 1, pa.int64()),
-                "prio": pa.array(label_of(batch), pa.string()),
+                "prio": prio,
                 "rev6": pa.array(z, pa.int64()),
                 "n": pa.array(z, pa.int64()),
             }
-        )
+        ).filter(prio.is_valid())
 
     li = _read(
         sf_dir, "lineitem",
@@ -187,25 +190,23 @@ def _orders_join_agg(sf_dir: str, nb: int, label_name: str,
 
 
 # ---------------------------------------------------------- revenue_by_region
-_DIM_MEMO: dict = {}
-_BCAST_CACHE: dict = {}  # per-worker-process ray.get cache (one fetch each)
-
-
 def _custkey_region(sf_dir: str):
     """Broadcast side of the snowflake: custkey -> region name through
     customer -> nation -> region.  Dimension tables are the canonical
     broadcast small side (region/nation are fixed-size; customer is the
     largest dim — if it ever outgrew broadcast, custkey would co-group
     exactly like orderkey).  Returns (sorted custkeys, region names),
-    memoized per customer file."""
+    memoized per (table files of ``sf_dir``, Ray job) (``state/memo``):
+    a rewritten customer, nation or region table invalidates it."""
+    return memo(
+        "relational.custkey_region", sf_dir,
+        lambda: _custkey_region_build(sf_dir),
+    )
+
+
+def _custkey_region_build(sf_dir: str):
     import pyarrow.parquet as pq
 
-    from . import file_key
-
-    key = file_key(os.path.join(sf_dir, "customer.parquet"))
-    got = _DIM_MEMO.get(key)
-    if got is not None:
-        return got
     cust = pq.read_table(
         os.path.join(sf_dir, "customer.parquet"),
         columns=["c_custkey", "c_nationkey"],
@@ -228,10 +229,7 @@ def _custkey_region(sf_dir: str):
     ck = np.asarray(cust.column("c_custkey").to_pylist(), np.int64)
     cn = np.asarray(cust.column("c_nationkey").to_pylist(), np.int64)
     order = np.argsort(ck)
-    out = (ck[order], rname[n_of[cn[order]]])
-    _DIM_MEMO.clear()
-    _DIM_MEMO[key] = out
-    return out
+    return ck[order], rname[n_of[cn[order]]]
 
 
 def revenue_by_region(sf_dir: str, num_buckets: int | None = None):
@@ -246,14 +244,12 @@ def revenue_by_region(sf_dir: str, num_buckets: int | None = None):
     ref = ray.put(_custkey_region(sf_dir))
 
     def label_of(batch: pa.Table, ref=ref):
-        key = ref.hex()
-        got = _BCAST_CACHE.get(key)
-        if got is None:
-            got = _BCAST_CACHE[key] = ray.get(ref)
-        ck_sorted, region = got
+        ck_sorted, region = fetch(ref)
         ck = np.asarray(batch.column("o_custkey").to_pylist(), np.int64)
         idx = np.searchsorted(ck_sorted, ck)
-        return region[idx].tolist()
+        idx[idx == len(ck_sorted)] = len(ck_sorted) - 1
+        # inner join: an orphan custkey (no customer row) drops
+        return np.where(ck_sorted[idx] == ck, region[idx], None).tolist()
 
     return _orders_join_agg(
         sf_dir, nb, "region", label_of, ["o_orderkey", "o_custkey"]

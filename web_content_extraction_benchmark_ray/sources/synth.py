@@ -11,8 +11,9 @@ across rows, plus 'media' spans for every 10th doc.  ``heavy_tail=True``
 additionally inflates ~1% of docs ~50× (deeply repeated content) to
 exercise the skew/heavy-lane path (SURVEY.md §7.7).
 
-The result is cached under /tmp (atomic rename) and written as multiple
-row groups so Ray's parquet reader parallelizes the scan.
+The result is cached under /tmp (atomic rename), keyed on the documents
+file's ``file_key`` so a rewritten corpus gets a fresh table, and written
+as multiple row groups so Ray's parquet reader parallelizes the scan.
 """
 from __future__ import annotations
 
@@ -22,9 +23,9 @@ import os
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..state.memo import CACHE_ROOT, file_key
 from . import pagegen
 
-CACHE_DIR = "/tmp/wceb_cache"
 HEAVY_EVERY = 97  # doc_id % 97 == 0 -> pathological tail (~1%)
 HEAVY_REPEAT = 50
 
@@ -49,17 +50,17 @@ def build_spans_table(
     ``repeat=R`` replicates the corpus R times under distinct doc_ids
     (copy k of doc d -> d + k*10^7) — used by the scaling benchmark to
     make compute dominate fixed overhead at high parallelism."""
+    docs = os.path.join(sf_dir, "documents.parquet")
     tag = hashlib.md5(
-        f"{os.path.abspath(sf_dir)}|heavy={heavy_tail}|rep={repeat}|v4".encode()
+        f"{os.path.abspath(sf_dir)}|{file_key(docs)}|heavy={heavy_tail}"
+        f"|rep={repeat}|v4".encode()
     ).hexdigest()[:12]
-    out = os.path.join(CACHE_DIR, f"spans-{tag}")
+    out = os.path.join(CACHE_ROOT, f"spans-{tag}")
     if os.path.exists(out) and not force:
         return out
-    os.makedirs(CACHE_DIR, exist_ok=True)
+    os.makedirs(CACHE_ROOT, exist_ok=True)
 
-    src = pq.read_table(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    src = pq.read_table(docs, columns=["doc_id", "text"])
     base_ids = src.column("doc_id").to_pylist()
     base_texts = src.column("text").to_pylist()
     all_ids = [

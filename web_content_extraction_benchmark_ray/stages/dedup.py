@@ -47,6 +47,7 @@ from ..functions.hashing import (
     shingle_base_hashes,
     simhash60,
 )
+from ..state.memo import fetch
 
 MINHASH_THRESHOLD = 0.5  # est. Jaccard at/above which a pair is a near-dup
 SIMHASH_BAND_BITS = 12
@@ -208,20 +209,30 @@ _log = logging.getLogger(__name__)
 CAP_DROP_COUNT = 0
 
 
-def _cap_posting(posting: dict, what: str) -> dict:
-    import sys
-
-    mod = sys.modules[__name__]
-    cap = mod.LSH_POSTING_CAP
-    over = {k: len(v) for k, v in posting.items() if len(v) > cap}
+def _split_cap(posting: dict) -> tuple[dict, dict]:
+    """(the posting lists at or under LSH_POSTING_CAP, {key: size} of the
+    lists over it)."""
+    over = {k: len(v) for k, v in posting.items() if len(v) > LSH_POSTING_CAP}
     if over:
-        mod.CAP_DROP_COUNT += len(over)
+        posting = {k: v for k, v in posting.items() if k not in over}
+    return posting, over
+
+
+def _note_cap_drops(over: dict, what: str) -> None:
+    """Count (CAP_DROP_COUNT) and log the posting lists ``over`` dropped."""
+    global CAP_DROP_COUNT
+    if over:
+        CAP_DROP_COUNT += len(over)
         _log.warning(
             "%s: dropped %d posting list(s) over cap %d (%d rows): %s",
-            what, len(over), cap, sum(over.values()),
+            what, len(over), LSH_POSTING_CAP, sum(over.values()),
             list(over.items())[:4],
         )
-        posting = {k: v for k, v in posting.items() if len(v) <= cap}
+
+
+def _cap_posting(posting: dict, what: str) -> dict:
+    posting, over = _split_cap(posting)
+    _note_cap_drops(over, what)
     return posting
 
 
@@ -1127,9 +1138,7 @@ def fingerprint_dup_pairs(ds, min_shared: int = FP_MIN_SHARED,
         nk_ref = ray.put(nk_map)
 
         def score(g):
-            from .simsearch import _get_broadcast
-
-            return _fp_pair_scores(g, _get_broadcast(nk_ref), min_shared)
+            return _fp_pair_scores(g, fetch(nk_ref), min_shared)
 
         return _bucket_sorted(pairs, column="pbucket").map_batches(
             score, batch_format="pyarrow", batch_size=None,

@@ -26,8 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..functions.arrownp import num_col
+from ..state.memo import fetch
 import pyarrow as pa
-import ray
 
 KNN_K = 10
 N_QUERIES = 8  # queries = vectors with vec_id < N_QUERIES
@@ -93,23 +93,10 @@ def _partial_topk(
     )
 
 
-_BCAST_CACHE: dict = {}
-
-
-def _get_broadcast(ref):
-    """ray.get a broadcast object once per worker process (cached by ref)
-    — the actor-__init__ benefit without a standing CPU reservation."""
-    key = ref.hex() if hasattr(ref, "hex") else id(ref)
-    val = _BCAST_CACHE.get(key)
-    if val is None:
-        val = _BCAST_CACHE[key] = ray.get(ref)
-    return val
-
-
 def partial_topk_batch(batch: pa.Table, queries_ref) -> pa.Table:
     """Task-pool batch stage: broadcast query matrix fetched once per
     worker process."""
-    qids, qmat = _get_broadcast(queries_ref)
+    qids, qmat = fetch(queries_ref)
     vec_ids = num_col(batch.column("vec_id"), np.int64)
     vecs = emb_matrix(batch.column("embedding"))
     if vecs.size == 0:
@@ -158,9 +145,9 @@ def knn_ivf(ds, queries_ref):
     """
     def list_topk(group: pa.Table) -> pa.Table:
         # broadcast query matrix resolved once per worker process (the same
-        # _get_broadcast cache as knn_bruteforce) — a driver-side ray.get
-        # here would serialize the matrix into every map_groups task closure
-        qids, qmat = _get_broadcast(queries_ref)
+        # ``fetch`` as knn_bruteforce) — a driver-side ray.get here would
+        # serialize the matrix into every map_groups task closure
+        qids, qmat = fetch(queries_ref)
         vec_ids = num_col(group.column("vec_id"), np.int64)
         vecs = emb_matrix(group.column("embedding"))
         return _partial_topk(qids, qmat, vec_ids, vecs)

@@ -251,20 +251,14 @@ def heavy_doc_ids(
     return sorted(heavy)
 
 
-_ID_SET_CACHE: dict = {}
-
-
 def filter_doc_ids(batch: pa.Table, ids_ref, keep: bool) -> pa.Table:
     """Source-side lane predicate: keep (or drop) the broadcast id set.
-    ``ids_ref`` is a ``ray.put`` handle resolved once per worker process
-    (the broadcast-small-side pattern); the membership test is the
+    ``ids_ref`` is a ``ray.put`` handle of the id list, resolved once per
+    worker process (``state/memo.fetch``); the membership test is the
     vectorized ``pc.is_in`` kernel."""
-    import ray
+    from ..state.memo import fetch
 
-    key = ids_ref.hex() if hasattr(ids_ref, "hex") else id(ids_ref)
-    vs = _ID_SET_CACHE.get(key)
-    if vs is None:
-        vs = _ID_SET_CACHE[key] = pa.array(ray.get(ids_ref), pa.string())
+    vs = pa.array(fetch(ids_ref), pa.string())
     mask = pc.is_in(pc.cast(batch.column("doc_id"), pa.string()), value_set=vs)
     if not keep:
         mask = pc.invert(mask)
