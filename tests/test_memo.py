@@ -53,6 +53,46 @@ def test_complexity_parquet_never_serves_a_stale_table(
     assert not os.path.exists(first)
 
 
+def test_cache_keeps_one_version_per_sf_dir(ray_session, tmp_path, monkeypatch):
+    """Rewriting documents.parquet and building again leaves exactly one
+    spans table and one extraction cache version for the sf_dir: the
+    fresh build removes the older one."""
+    from web_content_extraction_benchmark_ray.pipelines import extractcache as ec
+    from web_content_extraction_benchmark_ray.sources import synth
+
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(ec, "CACHE_ROOT", str(cache))
+    monkeypatch.setattr(synth, "CACHE_ROOT", str(cache))
+    d = str(tmp_path / "sf")
+    os.makedirs(d)
+
+    def versions():
+        return {
+            root: sorted(
+                v for v in os.listdir(cache / root) if not v.endswith(".lock")
+            )
+            for root in sorted(os.listdir(cache))
+        }
+
+    _write_docs(d, (0, 20))
+    first_spans = synth.build_spans_table(d)
+    (first_extract,) = ec.ensure(d, ("bte",))
+    assert len(versions()) == 2
+    assert all(len(v) == 1 for v in versions().values())
+
+    new_ids = _write_docs(d, (20, 25))
+    spans = synth.build_spans_table(d)
+    (extract,) = ec.ensure(d, ("bte",))
+    kinds = versions()
+    assert sorted(k.split("-")[0] for k in kinds) == ["extract", "spans"]
+    assert all(len(v) == 1 for v in kinds.values())
+    assert not os.path.exists(first_spans)
+    assert not os.path.exists(first_extract)
+    want = sorted(str(i) for i in new_ids)
+    assert sorted(set(_ids(spans))) == want
+    assert _ids(extract) == want
+
+
 def test_memo_rebuilds_on_source_change_and_holds_one_entry_per_name(
     tmp_path, monkeypatch
 ):

@@ -2,6 +2,7 @@
 aggregate against brute-force / synthetic-edge oracles."""
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 
@@ -206,6 +207,49 @@ def test_revenue_by_region_drops_orphan_custkeys(ray_session, tmp_path):
         con.sql(relational_oracle_sql()["revenue_by_region"]).df()
         .sort_values("region").reset_index(drop=True)
     )
+    assert got["region"].tolist() == want["region"].tolist()
+    assert got["n_lines"].astype("int64").tolist() == want["n_lines"].astype("int64").tolist()
+    assert got["revenue6"].astype("int64").tolist() == want["revenue6"].astype("int64").tolist()
+
+
+def test_revenue_by_region_drops_customers_of_a_missing_nation(
+    ray_session, tmp_path
+):
+    """The customer -> nation step of the broadcast side is an inner
+    join too: with nation 3 removed, its customers' orders drop (they
+    used to take the region of regionkey 0), exactly as in the DuckDB
+    twin."""
+    import duckdb
+
+    from web_content_extraction_benchmark_ray.pipelines.relational import (
+        relational_oracle_sql,
+        revenue_by_region,
+    )
+
+    sf = "/root/testdata/sf0.001"
+    for t in ("lineitem", "orders", "customer", "region"):
+        pq.write_table(pq.read_table(f"{sf}/{t}.parquet"),
+                       tmp_path / f"{t}.parquet")
+    nation = pq.read_table(f"{sf}/nation.parquet")
+    keep = pc.not_equal(nation["n_nationkey"], 3)
+    pq.write_table(nation.filter(keep), tmp_path / "nation.parquet")
+    cust_nations = pq.read_table(f"{sf}/customer.parquet")["c_nationkey"]
+    assert pc.sum(pc.equal(cust_nations, 3)).as_py() > 0
+
+    got = (
+        revenue_by_region(str(tmp_path)).to_pandas()
+        .sort_values("region").reset_index(drop=True)
+    )
+    con = duckdb.connect()
+    for t in ("lineitem", "orders", "customer", "nation", "region"):
+        con.sql(f"create view {t} as select * from "
+                f"'{tmp_path / (t + '.parquet')}'")
+    want = (
+        con.sql(relational_oracle_sql()["revenue_by_region"]).df()
+        .sort_values("region").reset_index(drop=True)
+    )
+    full = revenue_by_region(sf).to_pandas()
+    assert got["n_lines"].sum() < full["n_lines"].sum()
     assert got["region"].tolist() == want["region"].tolist()
     assert got["n_lines"].astype("int64").tolist() == want["n_lines"].astype("int64").tolist()
     assert got["revenue6"].astype("int64").tolist() == want["revenue6"].astype("int64").tolist()

@@ -13,10 +13,14 @@ disk.
 Layout (keyed like every cache of derived state, ``state/memo.py``: the
 source files' ``file_key`` plus the package code fingerprint)::
 
-    /tmp/wceb_cache/extract-{md5(sf_dir, documents file_key)[:16]}-{code}/
-      _SOURCE          absolute source path (stale/foreign guard)
-      _MANIFEST.json   {"batches": {"b0000": ["bte", ...], ...}}
-      b0000/*.parquet  full EXTRACTIONS-schema rows for those models
+    /tmp/wceb_cache/extract-{md5(sf_dir)[:16]}/
+      {md5(documents file_key)[:16]}-{code}/
+        _SOURCE          absolute source path (stale/foreign guard)
+        _MANIFEST.json   {"batches": {"b0000": ["bte", ...], ...}}
+        b0000/*.parquet  full EXTRACTIONS-schema rows for those models
+
+Computing a batch first removes the older versions of the same sf_dir
+(``state/memo.drop_other_versions``), so one version per corpus stays.
 
 Missing models are computed in ONE ``extraction_pipeline`` run per
 ``ensure`` call (each document's one ``Page`` amortizes the DOM parse
@@ -42,7 +46,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from ..state.memo import CACHE_ROOT, source_key
+from ..state.memo import (
+    CACHE_ROOT,
+    artifact_root,
+    drop_other_versions,
+    source_key,
+)
 
 _CODE_FP: str | None = None
 
@@ -72,11 +81,10 @@ def _code_fingerprint() -> str:
 
 def _cache_dir(sf_dir: str) -> str:
     docs = source_key(os.path.join(sf_dir, "documents.parquet"))
-    tag = hashlib.md5(
-        f"{os.path.abspath(sf_dir)}|{docs}".encode()
-    ).hexdigest()[:16]
+    version = hashlib.md5(repr(docs).encode()).hexdigest()[:16]
     return os.path.join(
-        CACHE_ROOT, f"extract-{tag}-{_code_fingerprint()}"
+        artifact_root("extract", sf_dir, CACHE_ROOT),
+        f"{version}-{_code_fingerprint()}",
     )
 
 
@@ -161,6 +169,7 @@ def ensure(sf_dir: str, models, **pipeline_kwargs) -> list[str]:
             have = {m for ms in manifest["batches"].values() for m in ms}
             missing = tuple(m for m in models if m not in have)
             if missing:
+                drop_other_versions(root)
                 spans = build_spans_table(sf_dir)
                 name = f"b{len(manifest['batches']):04d}"
                 out = os.path.join(root, name)

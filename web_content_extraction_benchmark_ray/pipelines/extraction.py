@@ -12,10 +12,11 @@ when it is suspicious, a per-doc size census name the oversized docs;
 those take a salted reassembly and a batch_size=1 extract lane, split
 from the plain lane at the source by a broadcast id predicate.
 
-``partition=(pid, P)`` restricts a run to one checkpoint partition with
-a second source-side predicate (``filter_partition``), applied in every
-lane; it is how ``state/checkpoint.py`` runs this same pipeline once per
-pending partition.
+``partition=(pids, P)`` restricts a run to a set of checkpoint
+partitions with a second source-side predicate (``filter_partition``),
+applied in every lane; it is how ``state/checkpoint.py`` runs every
+pending partition of an invocation through this same pipeline in one
+job.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ def _resolve_heavy_ids(spans_path, heavy_lane_bytes, salted):
     lane split is gone — lanes now filter at the source).  Memoized per
     (spans table files, Ray job, arguments) (``state/memo``), so repeated
     pipeline calls over one table (bench, eval, the per-model queries,
-    the checkpoint partitions) probe/census once, and any rewrite
+    a checkpoint run and its resume) probe/census once, and any rewrite
     invalidates."""
     if heavy_lane_bytes is None:
         return None, bool(salted)
@@ -99,7 +100,7 @@ def extraction_pipeline(
     batch_size: int = 64,
     heavy_lane_bytes="auto",
     salted="auto",
-    partition: tuple[int, int] | None = None,
+    partition: tuple | None = None,
 ) -> "ray.data.Dataset":
     """Lazy Dataset of extractions for ``models`` over the spans table.
 
@@ -110,10 +111,10 @@ def extraction_pipeline(
     balanced path (stages/skew.py).  ``heavy_lane_bytes`` accepts an
     explicit byte threshold (census runs directly), or None to force a
     single lane; ``salted`` accepts True (whole pipeline salted), False
-    (never), or "auto" (heavy lane only).  ``partition=(pid, P)`` keeps
-    only the docs with ``partition_of(doc_id, P) == pid``; the routing
-    decision is still made over the whole table, so every partition of
-    one table shares one probe/census."""
+    (never), or "auto" (heavy lane only).  ``partition=(pids, P)`` keeps
+    only the docs with ``partition_of(doc_id, P)`` in ``pids``; the
+    routing decision is still made over the whole table, so it does not
+    depend on which partitions are pending."""
     from ..functions.extractors import list_extractors
     from ..stages.skew import filter_doc_ids, filter_partition
 
@@ -128,10 +129,10 @@ def extraction_pipeline(
     def source():
         ds = read_spans(spans_path)
         if partition is not None:
-            pid, num_partitions = partition
+            pids, num_partitions = partition
             ds = ds.map_batches(
                 filter_partition,
-                fn_kwargs={"pid": pid, "num_partitions": num_partitions},
+                fn_kwargs={"pids": sorted(pids), "num_partitions": num_partitions},
                 batch_format="pyarrow",
             )
         return ds

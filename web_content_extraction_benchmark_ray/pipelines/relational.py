@@ -221,15 +221,29 @@ def _custkey_region_build(sf_dir: str):
     )
     rk = np.asarray(reg.column("r_regionkey").to_pylist(), np.int64)
     rname = np.asarray(reg.column("r_name").to_pylist(), dtype=object)
-    rname = rname[np.argsort(rk)]  # index by regionkey (dense 0..R-1)
     nk = np.asarray(nat.column("n_nationkey").to_pylist(), np.int64)
     nreg = np.asarray(nat.column("n_regionkey").to_pylist(), np.int64)
-    n_of = np.zeros(nk.max() + 1, np.int64)
-    n_of[nk] = nreg
     ck = np.asarray(cust.column("c_custkey").to_pylist(), np.int64)
     cn = np.asarray(cust.column("c_nationkey").to_pylist(), np.int64)
+    # customer -> nation -> region, both inner joins: a customer whose
+    # nation (or whose nation's region) has no row drops
+    ridx, rhit = _probe(rk, nreg)
+    nidx, nhit = _probe(nk, cn)
+    keep = nhit & rhit[nidx]
+    ck, label = ck[keep], rname[ridx[nidx[keep]]]
     order = np.argsort(ck)
-    return ck[order], rname[n_of[cn[order]]]
+    return ck[order], label[order]
+
+
+def _probe(keys: np.ndarray, probe: np.ndarray):
+    """Equi-join probe of ``probe`` against the unique ``keys``: the row
+    index in ``keys`` of every probe value and whether it is there."""
+    if not len(keys):
+        return np.zeros(len(probe), np.int64), np.zeros(len(probe), bool)
+    order = np.argsort(keys)
+    pos = np.minimum(np.searchsorted(keys[order], probe), len(keys) - 1)
+    idx = order[pos]
+    return idx, keys[idx] == probe
 
 
 def revenue_by_region(sf_dir: str, num_buckets: int | None = None):

@@ -70,15 +70,3 @@ SCORES = pa.schema(
         ("dist", pa.float64()),
     ]
 )
-
-# Lineage / checkpoint records (FIXTURES.md §6).
-LINEAGE = pa.schema(
-    [
-        ("partition_id", pa.int32()),
-        ("input_fragments", pa.list_(pa.string())),
-        ("doc_count", pa.int64()),
-        ("error_count", pa.int64()),
-        ("wall_ms", pa.float64()),
-        ("status", pa.string()),
-    ]
-)

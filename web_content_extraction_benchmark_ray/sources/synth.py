@@ -11,9 +11,11 @@ across rows, plus 'media' spans for every 10th doc.  ``heavy_tail=True``
 additionally inflates ~1% of docs ~50× (deeply repeated content) to
 exercise the skew/heavy-lane path (SURVEY.md §7.7).
 
-The result is cached under /tmp (atomic rename), keyed on the documents
-file's ``file_key`` so a rewritten corpus gets a fresh table, and written
-as multiple row groups so Ray's parquet reader parallelizes the scan.
+The result is cached under /tmp (atomic rename), one version directory
+per (sf_dir, flags) keyed on the documents file's ``file_key``: a
+rewritten corpus gets a fresh table, and that build removes the older
+version.  It is written as multiple row groups so Ray's parquet reader
+parallelizes the scan.
 """
 from __future__ import annotations
 
@@ -23,7 +25,12 @@ import os
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..state.memo import CACHE_ROOT, file_key
+from ..state.memo import (
+    CACHE_ROOT,
+    artifact_root,
+    drop_other_versions,
+    file_key,
+)
 from . import pagegen
 
 HEAVY_EVERY = 97  # doc_id % 97 == 0 -> pathological tail (~1%)
@@ -51,14 +58,14 @@ def build_spans_table(
     (copy k of doc d -> d + k*10^7) — used by the scaling benchmark to
     make compute dominate fixed overhead at high parallelism."""
     docs = os.path.join(sf_dir, "documents.parquet")
-    tag = hashlib.md5(
-        f"{os.path.abspath(sf_dir)}|{file_key(docs)}|heavy={heavy_tail}"
-        f"|rep={repeat}|v4".encode()
-    ).hexdigest()[:12]
-    out = os.path.join(CACHE_ROOT, f"spans-{tag}")
+    root = artifact_root(
+        f"spans-heavy{int(heavy_tail)}-rep{repeat}", sf_dir, CACHE_ROOT
+    )
+    version = hashlib.md5(f"{file_key(docs)}|v4".encode()).hexdigest()[:12]
+    out = os.path.join(root, version)
     if os.path.exists(out) and not force:
         return out
-    os.makedirs(CACHE_ROOT, exist_ok=True)
+    os.makedirs(root, exist_ok=True)
 
     src = pq.read_table(docs, columns=["doc_id", "text"])
     base_ids = src.column("doc_id").to_pylist()
@@ -129,6 +136,7 @@ def build_spans_table(
         import shutil
 
         shutil.rmtree(out, ignore_errors=True)
+    drop_other_versions(out)
     try:
         os.replace(tmp, out)
     except OSError:

@@ -38,8 +38,9 @@ default pipeline self-routing, in three escalating steps:
    tail-free, so neither lane ever holds the corpus in memory.
 
 ``filter_partition`` is the second source-side predicate, built like
-``filter_doc_ids``: it restricts a pipeline run to one checkpoint
-partition, ``partition_of(doc_id, P) == pid`` (state/checkpoint.py).
+``filter_doc_ids``: it restricts a pipeline run to a set of checkpoint
+partitions, ``partition_of(doc_id, P) in pids`` (state/checkpoint.py
+runs every pending partition of an invocation as one such job).
 
 Reference parity note: the reference has no skew handling at all — its
 unit of work is a whole (model x dataset) process-pool job
@@ -271,17 +272,21 @@ def partition_of(doc_id: str, num_partitions: int) -> int:
     return zlib.crc32(doc_id.encode()) % num_partitions
 
 
-def filter_partition(batch: pa.Table, pid: int, num_partitions: int) -> pa.Table:
-    """Source-side partition predicate: keep the rows whose doc has
-    ``partition_of(doc_id, num_partitions) == pid``.  A doc's spans are
-    chunked over several rows, so the crc32 runs once per distinct
-    doc_id of the batch (its dictionary values), not once per row."""
-    ids = pc.cast(batch.column("doc_id"), pa.string()).combine_chunks()
-    enc = ids.dictionary_encode()
-    hit = np.fromiter(
-        (partition_of(d, num_partitions) == pid
-         for d in enc.dictionary.to_pylist()),
-        dtype=bool,
+def partition_ids(doc_ids, num_partitions: int) -> np.ndarray:
+    """``partition_of`` of every row's doc_id.  A doc's spans and output
+    rows repeat its id, so the crc32 runs once per distinct doc_id (the
+    column's dictionary values), not once per row."""
+    enc = pc.cast(doc_ids, pa.string()).combine_chunks().dictionary_encode()
+    pid = np.fromiter(
+        (partition_of(d, num_partitions) for d in enc.dictionary.to_pylist()),
+        dtype=np.int64,
         count=len(enc.dictionary),
     )
-    return batch.filter(pa.array(hit[enc.indices.to_numpy(zero_copy_only=False)]))
+    return pid[enc.indices.to_numpy(zero_copy_only=False)]
+
+
+def filter_partition(batch: pa.Table, pids, num_partitions: int) -> pa.Table:
+    """Source-side partition predicate: keep the rows whose doc has
+    ``partition_of(doc_id, num_partitions)`` in the set ``pids``."""
+    pid = partition_ids(batch.column("doc_id"), num_partitions)
+    return batch.filter(pa.array(np.isin(pid, list(pids))))

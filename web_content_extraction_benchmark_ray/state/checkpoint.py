@@ -11,6 +11,7 @@ file.
 Layout under ``out_dir``::
 
     part-00000/*.parquet      completed partition output (atomic rename)
+    part-00001.tmp/*.parquet  a pending partition's slices, being written
     _manifest/part-00000.json lineage record, written AFTER the rename
 
 A partition is complete iff its manifest exists; ``run_checkpointed`` is
@@ -18,42 +19,82 @@ idempotent — rerunning after a crash recomputes only manifest-less
 partitions (the anti-join against the manifest is the resume path) and
 never rewrites completed ones.
 
-Lineage record fields: partition id, input files, doc/row/error counts,
-wall ms, engine partition-count config — enough to re-derive any output
-partition from its inputs.
+Lineage record fields (FIXTURES.md §6): partition id, input files,
+models, doc/row/error counts, wall ms, partition count — enough to
+re-derive any output partition from its inputs.  ``wall_ms`` is the
+invocation's wall time from its start up to that partition's commit.
 
-Each pending partition is one run of the flagship
-``extraction_pipeline`` with ``partition=(pid, P)``: a source-side
+One invocation is ONE run of the flagship ``extraction_pipeline`` over
+every pending partition, ``partition=(pending, P)``: a source-side
 predicate (``stages/skew.filter_partition``) keeps the docs with
-``partition_of(doc_id, P) == pid`` (crc32), and the partition gets the
-pipeline's skew routing, sort exchange and size-aware partition count.
-There is no reassembly or extraction code here.
+``partition_of(doc_id, P)`` (crc32) in the pending set, so the spans
+table is scanned once per pipeline lane however many partitions are
+pending, and the job gets the pipeline's skew routing, sort exchange
+and size-aware partition count.  There is no reassembly or extraction
+code here.
 
-Scale note: every partition job re-scans the spans table and prunes at
-the source (correct, but P scans).  At production scale the input table
-is hash-bucketed at rest (one Lance fragment set per bucket), so the
-prune becomes a fragment-list read — the layout this module's partition
-key (crc32(doc_id) % P) is chosen to line up with.
+Write sink: after the extract step, ``write_partition_slices`` runs as
+one ``map_batches(batch_size=None)`` task per extracted block.  It
+splits the block by ``partition_of(doc_id, P)``, writes each slice into
+``part-NNNNN.tmp/`` under a name derived from the slice's content (so a
+retried task overwrites its own files instead of adding rows; each file
+goes to a temp name first and is renamed into place), and returns one
+stats row per partition it touched: rows, docs, error rows.  The driver
+sums those rows per partition; the lineage counts come from the writes,
+never from a recount.
+
+Commit: once the job has drained, the driver commits the pending
+partitions in pid order — ``part-NNNNN.tmp`` (created empty when the
+partition has no docs) is renamed over ``part-NNNNN`` atomically, and
+only then is the manifest written.  ``fail_after=k`` raises right after
+the k-th commit of the invocation.  Every pending ``part-*.tmp`` is
+removed before the job starts.
+
+What a crash loses: the partitions committed so far are kept; those
+left uncommitted by that invocation — all of them when the driver dies
+before the job drains, the rest after an injected crash — are
+recomputed by the next invocation.  Their ``.tmp`` directories may hold
+rows, but ``read_output`` reads committed partitions only, and the next
+invocation removes them first.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
 import time
+import uuid
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray.data
 
 from ..pipelines.extraction import extraction_pipeline
 from ..sources.storage import table_files
 from ..stages.extract import DEFAULT_MODELS
-from ..stages.skew import partition_of  # noqa: F401  (the layout's key)
+from ..stages.skew import partition_ids
 
 DEFAULT_NUM_PARTITIONS = 8
+
+SLICE_STATS = pa.schema(
+    [
+        ("pid", pa.int64()),
+        ("rows", pa.int64()),
+        ("docs", pa.int64()),
+        ("errors", pa.int64()),
+    ]
+)
 
 
 def _manifest_dir(out_dir: str) -> str:
     return os.path.join(out_dir, "_manifest")
+
+
+def _part_dir(out_dir: str, pid: int) -> str:
+    return os.path.join(out_dir, f"part-{pid:05d}")
 
 
 def completed_partitions(out_dir: str) -> set[int]:
@@ -79,6 +120,46 @@ def read_lineage(out_dir: str) -> list[dict]:
     return records
 
 
+def _slice_name(part: pa.Table) -> str:
+    """File name of one slice, a function of its rows' (doc_id, model)
+    keys only: a retried task writes the same names, and two different
+    slices never share one (a (doc, model) row is written once)."""
+    keys = pc.binary_join_element_wise(part["doc_id"], part["model"], "\t")
+    digest = hashlib.md5("\n".join(sorted(keys.to_pylist())).encode())
+    return digest.hexdigest()[:20] + ".parquet"
+
+
+def write_partition_slices(
+    batch: pa.Table, out_dir: str, num_partitions: int, count_model: str
+) -> pa.Table:
+    """Write sink of a checkpoint run: write each partition's slice of
+    an extracted block into ``part-NNNNN.tmp/`` and return one
+    ``SLICE_STATS`` row per partition written.  ``docs`` counts the rows
+    of ``count_model`` (the job's first model): a doc has exactly one
+    of those, so it is counted once even if its rows span two blocks."""
+    pid_of = partition_ids(batch.column("doc_id"), num_partitions)
+    stats = []
+    for pid in np.unique(pid_of).tolist():
+        part = batch.filter(pa.array(pid_of == pid))
+        tmp_dir = _part_dir(out_dir, pid) + ".tmp"
+        os.makedirs(tmp_dir, exist_ok=True)
+        path = os.path.join(tmp_dir, _slice_name(part))
+        staging = f"{path}.{uuid.uuid4().hex}.inprogress"
+        pq.write_table(part, staging)
+        os.replace(staging, path)
+        stats.append({
+            "pid": pid,
+            "rows": part.num_rows,
+            "docs": pc.sum(pc.equal(part["model"], count_model)).as_py() or 0,
+            "errors": pc.sum(pc.not_equal(part["error"], "")).as_py() or 0,
+        })
+    return pa.Table.from_pylist(stats, schema=SLICE_STATS)
+
+
+def _model_name(model) -> str:
+    return model if isinstance(model, str) else model[0]
+
+
 def run_checkpointed(
     spans_path: str,
     out_dir: str,
@@ -86,34 +167,47 @@ def run_checkpointed(
     num_partitions: int = DEFAULT_NUM_PARTITIONS,
     fail_after: int | None = None,
 ) -> list[dict]:
-    """Run the extraction pipeline with per-partition commit + lineage.
+    """Run the extraction pipeline once over every pending partition,
+    then commit them one by one with their lineage records.
 
-    ``fail_after=k`` injects a crash after k newly-completed partitions
-    (test hook for the resume contract).  Returns the lineage records of
-    partitions completed by THIS invocation.
-    """
+    ``fail_after=k`` injects a crash right after the k-th partition this
+    invocation commits (test hook for the resume contract).  Returns the
+    lineage records of partitions completed by THIS invocation; each
+    record's ``wall_ms`` is the time from the invocation's start to that
+    partition's commit."""
+    t0 = time.perf_counter()
     os.makedirs(_manifest_dir(out_dir), exist_ok=True)
     done = completed_partitions(out_dir)
+    pending = [pid for pid in range(num_partitions) if pid not in done]
+    if not pending:
+        return []
+    for pid in pending:
+        shutil.rmtree(_part_dir(out_dir, pid) + ".tmp", ignore_errors=True)
     input_files = table_files(spans_path)
 
-    new_records: list[dict] = []
-    for pid in range(num_partitions):
-        if pid in done:
-            continue
-        t0 = time.perf_counter()
-        extracted = extraction_pipeline(
-            spans_path, models=models, partition=(pid, num_partitions)
-        )
+    stats = extraction_pipeline(
+        spans_path, models=models, partition=(pending, num_partitions)
+    ).map_batches(
+        write_partition_slices,
+        fn_kwargs={
+            "out_dir": out_dir,
+            "num_partitions": num_partitions,
+            "count_model": _model_name(models[0]),
+        },
+        batch_format="pyarrow",
+        batch_size=None,
+    )
+    totals = {pid: {"rows": 0, "docs": 0, "errors": 0} for pid in pending}
+    for row in stats.iter_rows():  # one small row per (block, partition)
+        total = totals[row["pid"]]
+        for k in total:
+            total[k] += int(row[k])
 
-        part_dir = os.path.join(out_dir, f"part-{pid:05d}")
+    new_records: list[dict] = []
+    for pid in pending:
+        part_dir = _part_dir(out_dir, pid)
         tmp_dir = part_dir + ".tmp"
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        extracted = extracted.materialize()
-        n_rows = extracted.count()
-        n_docs = n_rows // len(models)  # one row per (doc, model)
-        n_err = extracted.filter(expr="error != ''").count()
-        extracted.write_parquet(tmp_dir)
-        os.makedirs(tmp_dir, exist_ok=True)  # an empty partition writes no file
+        os.makedirs(tmp_dir, exist_ok=True)  # an empty partition writes nothing
         shutil.rmtree(part_dir, ignore_errors=True)
         os.replace(tmp_dir, part_dir)  # atomic partition commit
 
@@ -121,10 +215,10 @@ def run_checkpointed(
             "partition_id": pid,
             "num_partitions": num_partitions,
             "input_files": input_files,
-            "models": list(models),
-            "doc_count": n_docs,
-            "row_count": n_rows,
-            "error_count": n_err,
+            "models": [_model_name(m) for m in models],
+            "doc_count": totals[pid]["docs"],
+            "row_count": totals[pid]["rows"],
+            "error_count": totals[pid]["errors"],
             "wall_ms": int((time.perf_counter() - t0) * 1000),
         }
         mpath = os.path.join(_manifest_dir(out_dir), f"part-{pid:05d}.json")
@@ -146,6 +240,6 @@ def read_output(out_dir: str):
     files = [
         f
         for pid in sorted(completed_partitions(out_dir))
-        for f in table_files(os.path.join(out_dir, f"part-{pid:05d}"))
+        for f in table_files(_part_dir(out_dir, pid))
     ]
     return ray.data.read_parquet(files)

@@ -17,9 +17,15 @@ Three helpers hold every cache of derived state in the library:
   under ``CACHE_ROOT``.  The table directory's name carries the source
   fingerprint and the package code fingerprint, so a rewritten input or
   an edited extractor never serves an old table.
+
+Every on-disk artifact lives in one version directory under its
+``artifact_root(name, sf_dir)``, and a fresh build removes the older
+versions there (``drop_other_versions``), so the cache holds one copy
+per (name, sf_dir).
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import shutil
@@ -86,9 +92,27 @@ def memo(name: str, source: str, build, *extra):
     return val
 
 
-def _table_root(name: str, sf_dir: str) -> str:
+def artifact_root(name: str, sf_dir: str, cache_root: str | None = None) -> str:
+    """The directory that holds every version of the cached (name,
+    sf_dir) artifact under ``cache_root`` (default ``CACHE_ROOT``)."""
     tag = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:16]
-    return os.path.join(CACHE_ROOT, f"{name}-{tag}")
+    return os.path.join(cache_root or CACHE_ROOT, f"{name}-{tag}")
+
+
+def drop_other_versions(path: str) -> None:
+    """Remove the siblings of the version directory ``path`` whose names
+    do not start with its own: the older versions of the same (name,
+    sf_dir).  Entries of this version (its lock file, a concurrent
+    builder's tmp dir) stay."""
+    root, keep = os.path.split(path)
+    for entry in os.listdir(root):
+        if not entry.startswith(keep):
+            p = os.path.join(root, entry)
+            if os.path.isdir(p):
+                shutil.rmtree(p, ignore_errors=True)
+            else:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(p)  # another builder may remove it first
 
 
 def cached_parquet(name: str, sf_dir: str, build_ds) -> str:
@@ -99,7 +123,7 @@ def cached_parquet(name: str, sf_dir: str, build_ds) -> str:
     from ..pipelines.extractcache import _code_fingerprint
 
     fp = hashlib.md5(repr(source_key(sf_dir)).encode()).hexdigest()[:16]
-    root = _table_root(name, sf_dir)
+    root = artifact_root(name, sf_dir)
     out = os.path.join(root, f"{fp}-{_code_fingerprint()}")
     marker = os.path.join(out, "_SOURCE")
     if not os.path.exists(marker):
@@ -114,4 +138,4 @@ def cached_parquet(name: str, sf_dir: str, build_ds) -> str:
 def clear_parquet(name: str, sf_dir: str) -> None:
     """Drop every cached table of (name, sf_dir), so the next
     ``cached_parquet`` call builds it."""
-    shutil.rmtree(_table_root(name, sf_dir), ignore_errors=True)
+    shutil.rmtree(artifact_root(name, sf_dir), ignore_errors=True)
