@@ -412,3 +412,54 @@ def test_window_incremental_equals_batch(
             .reset_index(drop=True)
         )
         assert got.equals(want), (k, rows)
+
+
+def test_window_incremental_takes_sparse_offset_ids(ray_session, tmp_path):
+    """The arrival replay chunks the [min, max] event_id range, not
+    [0, row count): on an sf0.001 copy whose ids are sparse and start
+    far from 0, the fold still equals the DuckDB twin (it used to drop
+    every event whose id is past the row count)."""
+    import duckdb
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from web_content_extraction_benchmark_ray.pipelines.events import (
+        events_oracle_sql,
+        events_window_incremental,
+    )
+
+    ev = pq.read_table("/root/testdata/sf0.001/events.parquet")
+    i = ev.schema.get_field_index("event_id")
+    ids = pc.add(pc.multiply(ev["event_id"], 3), 10**12)
+    pq.write_table(ev.set_column(i, "event_id", ids), tmp_path / "events.parquet")
+    key = ["window_start_s", "event_type"]
+    got = (
+        events_window_incremental(str(tmp_path), n_chunks=4).to_pandas()
+        .sort_values(key).reset_index(drop=True)
+    )
+    con = duckdb.connect()
+    con.sql(f"create view events as select * from '{tmp_path / 'events.parquet'}'")
+    want = (
+        con.sql(events_oracle_sql()["events_window_incremental"]).df()
+        .sort_values(key).reset_index(drop=True)
+    )
+    assert got["n"].sum() == ev.num_rows
+    assert got[key + ["n"]].astype({"n": "int64"}).equals(
+        want[key + ["n"]].astype({"n": "int64"})
+    )
+    assert got["sum_value"].tolist() == want["sum_value"].tolist()
+    assert got["mean_value"].tolist() == want["mean_value"].tolist()
+
+
+def test_window_incremental_rejects_null_event_ids(tmp_path):
+    from web_content_extraction_benchmark_ray.pipelines.events import (
+        events_window_incremental,
+    )
+
+    t = _events_table([(1, 10, "view", 2.0), (1, 20, "view", 3.0)])
+    t = t.set_column(0, "event_id", pa.array([0, None], pa.int64()))
+    import pyarrow.parquet as pq
+
+    pq.write_table(t, tmp_path / "events.parquet")
+    with pytest.raises(ValueError, match="null event_id"):
+        events_window_incremental(str(tmp_path))

@@ -136,3 +136,33 @@ def test_link_components_equals_brute_force(ray_session):
             }
             seen |= frontier
         assert got[v] == min(seen)
+
+
+def test_link_components_rejects_a_link_target_that_is_not_a_document(
+    ray_session, tmp_path
+):
+    """Link targets are derived as ``f(doc_id) % n``, so they assume the
+    doc_ids are exactly 0..n-1.  With one targeted doc removed, the
+    exchange must fail loudly instead of handing a neighbour's label (or
+    an IndexError) to the requester."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from web_content_extraction_benchmark_ray.pipelines.graphops import (
+        link_components,
+    )
+
+    docs = pq.read_table(f"{SF}/documents.parquet")
+    ids = np.asarray(docs["doc_id"].to_pylist(), np.int64)
+    n = len(ids) - 1
+    gone = next(
+        int(t) for t in np.unique(_edge_dsts(ids, n))
+        if t in _edge_dsts(ids[ids != t], n)
+    )
+    pq.write_table(
+        docs.filter(pc.not_equal(docs["doc_id"], gone)),
+        tmp_path / "documents.parquet",
+    )
+    with pytest.raises(Exception, match="contiguous doc_ids") as err:
+        link_components(str(tmp_path)).take_all()
+    assert f"link target {gone} is not a doc_id" in str(err.value)

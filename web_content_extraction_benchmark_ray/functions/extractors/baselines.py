@@ -18,20 +18,18 @@ from . import register_extractor
 _DROP = frozenset(("script", "style", "noscript"))
 
 
+def _squeezed_text(node) -> str:
+    """Entity-decoded, whitespace-squeezed text runs outside ``_DROP``.  No
+    entity spans a joining space, so one squeeze over the joined runs is
+    the run-wise squeeze joined by single spaces."""
+    return squeeze_ws(sub_common_entities(" ".join(node.text_chunks(_DROP))))
+
+
 @register_extractor("whole_text", "root")
 def whole_text(root) -> str:
-    parts = [
-        squeeze_ws(sub_common_entities(t))
-        for t in root.text_chunks(skip_tags=_DROP)
-    ]
-    return " ".join(p for p in parts if p)
+    return _squeezed_text(root)
 
 
 @register_extractor("body_text", "root")
 def body_text(root) -> str:
-    body = body_or_root(root)
-    parts = [
-        squeeze_ws(sub_common_entities(t))
-        for t in body.text_chunks(skip_tags=_DROP)
-    ]
-    return " ".join(p for p in parts if p)
+    return _squeezed_text(body_or_root(root))

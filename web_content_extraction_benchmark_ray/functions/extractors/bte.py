@@ -17,6 +17,8 @@ re-statement of the published selection rule.
 from __future__ import annotations
 
 import re
+from itertools import accumulate
+from operator import itemgetter, sub
 
 from ..text import sub_common_entities
 from . import register_extractor
@@ -26,10 +28,18 @@ _BODY_CLOSE = re.compile(r"</body>.*$", re.S | re.I)
 _SCRIPT = re.compile(r"<script(\s+[^>]*)?>.*?</script>", re.S | re.I)
 _STYLE = re.compile(r"<style(\s+[^>]*)?>.*?</style>", re.S | re.I)
 _TOKEN = re.compile(r"<[^>]+>|[^\s<]+")
-_TAG_NAME = re.compile(r"^<([^\s>]+)")
+_KIND_RUN = re.compile(r"<+|[^<]+")
 
-_PAR_BREAK_TAGS = frozenset(
-    ("p", "div", "hr", "blockquote", "table", "h1", "h2", "h3", "li")
+_PAR_BREAK_TAGS = ("p", "div", "hr", "blockquote", "table", "h1", "h2", "h3", "li")
+# A tag token whose name (the published ``^<([^\s>]+)``) lowercases to a
+# break tag.  Spelled with ASCII case classes, not re.I: re.I lets 'i' match
+# U+0130/U+0131, which ``str.lower`` does not map to 'i'.
+_BREAK_TAG = re.compile(
+    "<(?:%s)[\\s>]"
+    % "|".join(
+        "".join(f"[{c}{c.upper()}]" if c.isalpha() else c for c in t)
+        for t in _PAR_BREAK_TAGS
+    )
 )
 
 
@@ -45,19 +55,21 @@ def _tokenize(html: str) -> list[str]:
     return _TOKEN.findall(html)
 
 
+def _kind_runs(tokens: list[str]) -> list[str]:
+    """Maximal same-kind token runs, as one string per run whose length is
+    the run's token count and whose first char is '<' for a tag run: one
+    regex pass over the tokens' first chars (a word token never starts
+    with '<'), so no Python branch runs per token."""
+    return _KIND_RUN.findall("".join(map(itemgetter(0), tokens)))
+
+
 def _runs(tokens: list[str]) -> list[tuple[int, int]]:
     """Maximal runs of same-value tokens -> list of (end_index, run_sum)."""
     runs: list[tuple[int, int]] = []
-    prev = 0
-    acc = 0
-    for i, tok in enumerate(tokens):
-        val = -1 if tok.startswith("<") else 1
-        if prev and val != prev:
-            runs.append((i - 1, acc))
-            acc = 0
-        acc += val
-        prev = val
-    runs.append((len(tokens) - 1, acc))
+    end = -1
+    for run in _kind_runs(tokens):
+        end += len(run)
+        runs.append((end, -len(run) if run[0] == "<" else len(run)))
     return runs
 
 
@@ -71,51 +83,37 @@ def best_window(tokens: list[str]) -> tuple[int, int]:
     if not tokens:
         return (0, 0)
     runs = _runs(tokens)
-    sums = [s for _, s in runs]
-    # prefix[i] = sum of runs[0..i-1]
-    prefix = [0]
-    for s in sums:
-        prefix.append(prefix[-1] + s)
-    # suffix max of prefix[j+1] for j >= i
-    n = len(sums)
-    suf_max = [0] * (n + 1)
-    suf_max[n] = float("-inf")
-    for j in range(n - 1, -1, -1):
-        suf_max[j] = max(prefix[j + 1], suf_max[j + 1])
-    best = max(suf_max[i] - prefix[i] for i in range(n))
+    # prefix[i] = sum of runs[0..i-1]; best_end[i] = max(prefix[i+1:])
+    prefix = list(accumulate((s for _, s in runs), initial=0))
+    best_end = list(accumulate(reversed(prefix[1:]), max))[::-1]
+    gains = list(map(sub, best_end, prefix))
+    best = max(gains)
     if best <= 0:
         return (0, 0)
-    for i in range(n):
-        if suf_max[i] - prefix[i] == best:
-            target = prefix[i] + best
-            for j in range(i, n):
-                if prefix[j + 1] == target:
-                    start = runs[i - 1][0] + 1 if i > 0 else 0
-                    return (start, runs[j][0])
-    return (0, 0)  # pragma: no cover
+    i = gains.index(best)
+    j = prefix.index(prefix[i] + best, i + 1) - 1
+    start = runs[i - 1][0] + 1 if i > 0 else 0
+    return (start, runs[j][0])
 
 
 def _paragraphs(tokens: list[str]) -> list[str]:
     """Split window tokens into paragraphs at *opening* block tags seen
     while inside a paragraph (closing tags like </p> deliberately do not
     break — the name regex of the published implementation captures '/p',
-    which is not a block-tag name)."""
+    which is not a block-tag name).  Works run by run: a word run extends
+    the paragraph; a tag run after a word ends it if any of its tags is a
+    break tag."""
     pars: list[str] = []
     cur: list[str] = []
-    in_par = False
-    for tok in tokens:
-        if not tok.startswith("<"):
-            cur.append(tok)
-            in_par = True
-            continue
-        if not in_par:
-            continue
-        m = _TAG_NAME.match(tok)
-        if m and m.group(1).lower() in _PAR_BREAK_TAGS:
-            if cur:
-                pars.append(" ".join(cur))
-                cur = []
-            in_par = False
+    i = 0
+    for run in _kind_runs(tokens):
+        j = i + len(run)
+        if run[0] != "<":
+            cur.extend(tokens[i:j])
+        elif cur and any(map(_BREAK_TAG.match, tokens[i:j])):
+            pars.append(" ".join(cur))
+            cur = []
+        i = j
     if cur:
         pars.append(" ".join(cur))
     return pars

@@ -13,11 +13,9 @@ classification (good/neargood/short/bad) → context-sensitive revision
 """
 from __future__ import annotations
 
-import re
-
 from ..text import sub_common_entities, tokenize_ws
 from . import register_extractor
-from .stoplist import ENGLISH_STOPWORDS
+from .stoplist import is_stopword
 
 LENGTH_LOW = 50
 LENGTH_HIGH = 200
@@ -27,26 +25,20 @@ MAX_LINK_DENSITY = 0.2
 MAX_HEADING_DISTANCE = 200
 NO_HEADINGS = True
 
-_STRIP_PUNCT = re.compile(r"^\W+|\W+$", re.UNICODE)
-
 GOOD, NEARGOOD, SHORT, BAD = "good", "neargood", "short", "bad"
 
 
-def _stopword_density(text: str, stoplist=ENGLISH_STOPWORDS) -> float:
+def _stopword_density(text: str) -> float:
     words = tokenize_ws(text)
     if not words:
         return 0.0
-    hits = sum(
-        1 for w in words if _STRIP_PUNCT.sub("", w).lower() in stoplist
-    )
-    return hits / len(words)
+    return sum(map(is_stopword, words)) / len(words)
 
 
 def classify_contextfree(
     text: str,
     link_chars: int,
     is_heading: bool = False,
-    stoplist=ENGLISH_STOPWORDS,
 ) -> str:
     """Context-free paragraph classification (published jusText rules)."""
     length = len(text)
@@ -59,7 +51,7 @@ def classify_contextfree(
         return BAD
     if length < LENGTH_LOW:
         return BAD if link_chars > 0 else SHORT
-    density = _stopword_density(text, stoplist)
+    density = _stopword_density(text)
     if density >= STOPWORDS_HIGH:
         return GOOD if length > LENGTH_HIGH else NEARGOOD
     if density >= STOPWORDS_LOW:

@@ -34,7 +34,7 @@ def render_blocks(root, skip=_SKIP, prune=None, li_prefix: str = "* ") -> str:
     cur: list[str] = []
 
     def flush(prefix: str = "") -> None:
-        line = squeeze_ws(" ".join(cur)).strip()
+        line = squeeze_ws(" ".join(cur))
         cur.clear()
         if line:
             lines.append(prefix + line)

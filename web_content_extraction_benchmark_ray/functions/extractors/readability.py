@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 
 from ..htmlparse import Node, body_or_root, segment_blocks
-from ..text import squeeze_ws, sub_common_entities
+from ..text import sub_common_entities
 from . import register_extractor
 
 _POSITIVE = re.compile(
@@ -65,30 +65,65 @@ def _class_weight(node: Node) -> int:
     return weight
 
 
-def _node_text(node: Node) -> str:
-    return squeeze_ws(" ".join(node.text_chunks(skip_tags=_DROP)))
+def text_stats(node: Node, stats: dict[int, tuple[int, int, int, int]]) -> tuple:
+    """(chars, words, commas, link chars) of ``node``, memoized in ``stats``
+    by ``id`` together with every descendant it had to measure, in one
+    bottom-up pass over the unmeasured part of the subtree.
+
+    A node's text is its text runs outside ``_DROP`` subtrees, whitespace
+    squeezed (``topnode.node_text``): its words joined by single spaces, so
+    its length is ``chars + words - 1`` (0 for no words) and it holds
+    ``commas`` commas.  The link chars are that length summed over every
+    descendant ``a``, including those under a dropped subtree
+    (``topnode.link_text_len``)."""
+    todo = [node]
+    stack = [node]
+    while stack:
+        for c in stack.pop().children:
+            if not isinstance(c, str) and id(c) not in stats:
+                todo.append(c)
+                stack.append(c)
+    for n in reversed(todo):  # children before their parent
+        chars = words = commas = links = 0
+        for c in n.children:
+            if isinstance(c, str):
+                ws = c.split()
+                if ws:
+                    words += len(ws)
+                    chars += sum(map(len, ws))
+                    commas += c.count(",")
+                continue
+            cc, cw, ccm, cl = stats[id(c)]
+            links += cl
+            if c.tag == "a" and cw:
+                links += cc + cw - 1
+            if c.tag not in _DROP:
+                chars += cc
+                words += cw
+                commas += ccm
+        stats[id(n)] = (chars, words, commas, links)
+    return stats[id(node)]
 
 
-def _link_text_len(node: Node) -> int:
-    total = 0
-    for a in node.find_all("a"):
-        total += len(squeeze_ws(" ".join(a.text_chunks(skip_tags=_DROP))))
-    return total
+def _text_len(stat: tuple[int, int, int, int]) -> int:
+    return stat[0] + stat[1] - 1 if stat[1] else 0
 
 
-def score_candidates(body: Node) -> dict[int, tuple[Node, float]]:
+def best_candidate(body: Node) -> Node | None:
+    """One pre-order walk of ``body`` gives the document order and the
+    paragraphs; ``text_stats`` measures each paragraph and candidate once,
+    reusing what the nodes below it already measured."""
+    nodes = list(body.iter_nodes())
+    stats: dict[int, tuple[int, int, int, int]] = {}
     candidates: dict[int, tuple[Node, float]] = {}
-
-    def init(node: Node) -> float:
-        return _TAG_PRIOR.get(node.tag, 0) + _class_weight(node)
-
-    for para in body.iter_nodes():
+    for para in nodes:
         if para.tag not in _PARAGRAPH_TAGS:
             continue
-        text = _node_text(para)
-        if len(text) < 25:
+        stat = text_stats(para, stats)
+        length = _text_len(stat)
+        if length < 25:
             continue
-        points = 1 + text.count(",") + min(len(text) // 100, 3)
+        points = 1 + stat[2] + min(length // 100, 3)
         for ancestor, share in ((para.parent, 1.0), (
             para.parent.parent if para.parent is not None else None,
             0.5,
@@ -97,21 +132,18 @@ def score_candidates(body: Node) -> dict[int, tuple[Node, float]]:
                 continue
             key = id(ancestor)
             if key not in candidates:
-                candidates[key] = (ancestor, float(init(ancestor)))
+                prior = _TAG_PRIOR.get(ancestor.tag, 0) + _class_weight(ancestor)
+                candidates[key] = (ancestor, float(prior))
             node, score = candidates[key]
             candidates[key] = (node, score + points * share)
-    return candidates
-
-
-def best_candidate(body: Node) -> Node | None:
-    candidates = score_candidates(body)
+    order = {id(n): i for i, n in enumerate(nodes)}
     best: tuple[float, int, Node] | None = None
-    order = {id(n): i for i, n in enumerate(body.iter_nodes())}
     for key, (node, score) in candidates.items():
-        text = _node_text(node)
-        if not text:
+        stat = text_stats(node, stats)
+        length = _text_len(stat)
+        if not length:
             continue
-        link_density = _link_text_len(node) / len(text)
+        link_density = stat[3] / length
         final = score * (1.0 - link_density)
         rank = (final, -order.get(key, 1 << 30))
         if best is None or rank > (best[0], best[1]):

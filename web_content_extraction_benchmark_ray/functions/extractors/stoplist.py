@@ -6,6 +6,12 @@ stoplist is arbitrary configuration in jusText (the reference loads
 ``justext.get_stoplist("English")``, extractors.py:94); ours is an
 engine-owned constant so results are deterministic and self-contained.
 """
+from __future__ import annotations
+
+import functools
+import re
+
+_STRIP_PUNCT = re.compile(r"^\W+|\W+$")
 
 ENGLISH_STOPWORDS = frozenset(
     """
@@ -30,3 +36,12 @@ ENGLISH_STOPWORDS = frozenset(
     interest readers end
     """.split()
 )
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def is_stopword(word: str) -> bool:
+    """Whether ``word``, stripped of leading and trailing non-word chars and
+    lowercased, is in the stoplist — the one stopword test of the
+    stopword-driven models.  Cached: pages repeat a small vocabulary, so
+    most calls skip the regex."""
+    return _STRIP_PUNCT.sub("", word).lower() in ENGLISH_STOPWORDS

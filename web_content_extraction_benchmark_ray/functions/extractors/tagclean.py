@@ -29,8 +29,6 @@ TAG_BLACKLIST = frozenset(
 
 @register_extractor("tagclean", "root")
 def tagclean(root) -> str:
-    parts = [
-        squeeze_ws(sub_common_entities(t))
-        for t in root.text_chunks(skip_tags=TAG_BLACKLIST)
-    ]
-    return " ".join(p for p in parts if p)
+    # one squeeze over the space-joined chunks: no entity spans the joining
+    # space, so this is the chunk-wise squeeze joined by single spaces
+    return squeeze_ws(sub_common_entities(" ".join(root.text_chunks(TAG_BLACKLIST))))

@@ -22,38 +22,37 @@ shared parse.
 """
 from __future__ import annotations
 
-import re
-
 from ..htmlparse import Node, body_or_root
-from ..text import tokenize_ws
+from ..text import squeeze_ws, tokenize_ws
 from . import register_extractor
-from .readability import _link_text_len, _node_text
-from .stoplist import ENGLISH_STOPWORDS
+from .readability import _DROP
+from .stoplist import is_stopword
 
 _PARA_TAGS = frozenset(("p", "pre", "td"))
 BOOST_MIN_STOPWORDS = 2
 MAX_LINK_DENSITY = 1.0 / 3.0
 SIBLING_SCORE_FRACTION = 0.3
 
-_STRIP_PUNCT = re.compile(r"^\W+|\W+$", re.UNICODE)
+def node_text(node: Node) -> str:
+    return squeeze_ws(" ".join(node.text_chunks(skip_tags=_DROP)))
+
+
+def link_text_len(node: Node) -> int:
+    return sum(len(node_text(a)) for a in node.find_all("a"))
 
 
 def _stopword_count(text: str) -> int:
-    return sum(
-        1
-        for w in tokenize_ws(text)
-        if _STRIP_PUNCT.sub("", w).lower() in ENGLISH_STOPWORDS
-    )
+    return sum(map(is_stopword, tokenize_ws(text)))
 
 
 def _is_gravity_para(node: Node) -> tuple[bool, str]:
     """(boostable, squeezed text) for one paragraph-ish node."""
-    text = _node_text(node)
+    text = node_text(node)
     if not text:
         return False, text
     if _stopword_count(text) < BOOST_MIN_STOPWORDS:
         return False, text
-    if _link_text_len(node) / len(text) > MAX_LINK_DENSITY:
+    if link_text_len(node) / len(text) > MAX_LINK_DENSITY:
         return False, text
     return True, text
 

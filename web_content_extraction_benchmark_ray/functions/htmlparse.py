@@ -17,7 +17,8 @@ hot path applies it per document inside ``map_batches`` batches.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+
+from .text import squeeze_ws
 
 VOID_TAGS = frozenset(
     "area base br col embed hr img input link meta param source track wbr".split()
@@ -37,28 +38,34 @@ BLOCK_TAGS = frozenset(
     ).split()
 )
 
+# One alternative per token kind; a tag carries the text run after it, so
+# one match is one tag plus its text.  ``Match.lastindex`` names the kind:
+# 2 close tag (name 1, text 2), 6 open tag (name 3, attributes 4,
+# self-close 5, text 6), 7 text run, 8 stray '<' (text); None for a
+# comment, declaration, processing instruction or a tag truncated at EOF,
+# which are dropped.
 _TOKEN_RE = re.compile(
     r"""
-    <!--.*?(?:-->|$)              # comment
+    </\s*([a-zA-Z][a-zA-Z0-9:-]*)[^>]*>([^<]*)   # close tag, text after
+  | <\s*([a-zA-Z][a-zA-Z0-9:-]*)((?:[^>"']|"[^"]*"|'[^']*')*)(/?)>([^<]*)  # open tag, text after
+  | ([^<]+)                       # text run
+  | <!--.*?(?:-->|$)              # comment
   | <!\[CDATA\[.*?(?:\]\]>|$)     # cdata
   | <![^>]*>                      # doctype / declaration
   | <\?[^>]*>                     # processing instruction
-  | </\s*([a-zA-Z][a-zA-Z0-9:-]*)[^>]*>          # close tag   -> group 1
-  | <\s*([a-zA-Z][a-zA-Z0-9:-]*)((?:[^>"']|"[^"]*"|'[^']*')*)(/?)>  # open tag -> groups 2,3,4
   | <[a-zA-Z/!?][^>]*$            # truncated tag at EOF (dropped, HTML5-style)
-  | [^<]+                         # text run
-  | <                             # stray '<'
+  | (<)                           # stray '<'
     """,
     re.DOTALL | re.VERBOSE,
 )
+_CLOSE, _OPEN = 2, 6
+_RAW_TEXT_END = {
+    t: re.compile(rf"</\s*{t}\s*>", re.IGNORECASE) for t in RAW_TEXT_TAGS
+}
 
 _ATTR_RE = re.compile(
     r"""([a-zA-Z_:][-a-zA-Z0-9_:.]*)\s*(?:=\s*("[^"]*"|'[^']*'|[^\s>]*))?""",
 )
-
-TEXT = 0
-OPEN = 1
-CLOSE = 2
 
 
 def parse_attrs(attr_str: str) -> dict[str, str]:
@@ -72,52 +79,21 @@ def parse_attrs(attr_str: str) -> dict[str, str]:
     return out
 
 
-def tokenize(html: str):
-    """Yield ``(TEXT, text)``, ``(OPEN, name, attr_str, selfclosing)`` or
-    ``(CLOSE, name)`` events.  Raw-text element bodies are emitted as a
-    single TEXT event (and skipped entirely for script/style consumers that
-    drop those subtrees)."""
-    pos = 0
-    n = len(html)
-    while pos < n:
-        m = _TOKEN_RE.match(html, pos)
-        if m is None:  # pragma: no cover — the pattern always matches
-            break
-        tok = m.group(0)
-        pos = m.end()
-        if m.group(2):  # open tag
-            name = m.group(2).lower()
-            selfclose = bool(m.group(4)) or name in VOID_TAGS
-            yield (OPEN, name, m.group(3) or "", selfclose)
-            if not selfclose and name in RAW_TEXT_TAGS:
-                end = re.compile(rf"</\s*{name}\s*>", re.IGNORECASE)
-                em = end.search(html, pos)
-                if em is None:
-                    yield (TEXT, html[pos:])
-                    yield (CLOSE, name)
-                    pos = n
-                else:
-                    yield (TEXT, html[pos : em.start()])
-                    yield (CLOSE, name)
-                    pos = em.end()
-        elif m.group(1):  # close tag
-            yield (CLOSE, m.group(1).lower())
-        elif tok.startswith("<") and len(tok) > 1:
-            continue  # doctype / PI / truncated tag
-        else:
-            yield (TEXT, tok)
-
-
-@dataclass
 class Node:
     """One element (or the synthetic root).  ``children`` holds ``Node`` or
     ``str`` (text) entries, in document order."""
 
-    tag: str
-    attr_str: str = ""
-    children: list = field(default_factory=list)
-    parent: "Node | None" = None
-    _attrs: dict | None = None
+    __slots__ = ("tag", "attr_str", "children", "parent", "_attrs")
+
+    def __init__(self, tag: str, attr_str: str = "", parent: "Node | None" = None):
+        self.tag = tag
+        self.attr_str = attr_str
+        self.children: list = []
+        self.parent = parent
+        self._attrs: dict | None = None
+
+    def __repr__(self) -> str:
+        return f"Node({self.tag!r}, {len(self.children)} children)"
 
     @property
     def attrs(self) -> dict[str, str]:
@@ -126,14 +102,18 @@ class Node:
         return self._attrs
 
     def iter_nodes(self):
-        """Depth-first pre-order over element nodes (excluding self)."""
-        stack = list(reversed([c for c in self.children if isinstance(c, Node)]))
+        """Depth-first pre-order over element nodes (excluding self).  The
+        stack holds one children iterator per open level, so no child list
+        is copied."""
+        stack = [iter(self.children)]
         while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(
-                reversed([c for c in node.children if isinstance(c, Node)])
-            )
+            for c in stack[-1]:
+                if c.__class__ is Node:
+                    yield c
+                    stack.append(iter(c.children))
+                    break
+            else:
+                stack.pop()
 
     def find_all(self, tag: str) -> list["Node"]:
         return [n for n in self.iter_nodes() if n.tag == tag]
@@ -163,13 +143,16 @@ class Node:
         """Yield raw text runs in document order, skipping ``skip_tags``
         subtrees."""
         skip = frozenset(skip_tags)
-        stack = list(reversed(self.children))
+        stack = [iter(self.children)]
         while stack:
-            c = stack.pop()
-            if isinstance(c, str):
-                yield c
-            elif c.tag not in skip:
-                stack.extend(reversed(c.children))
+            for c in stack[-1]:
+                if isinstance(c, str):
+                    yield c
+                elif c.tag not in skip:
+                    stack.append(iter(c.children))
+                    break
+            else:
+                stack.pop()
 
     def text(self, separator: str = " ", skip_tags=RAW_TEXT_TAGS) -> str:
         """Stripped text runs joined by ``separator`` — semantics of the
@@ -180,31 +163,51 @@ class Node:
 
 
 def parse(html: str) -> Node:
-    """Build a forgiving DOM.  Mis-nested close tags pop to the nearest
-    matching open element; unmatched close tags are ignored; everything
-    left open at EOF is implicitly closed."""
+    """Build a forgiving DOM in one regex scan.  Mis-nested close tags pop
+    to the nearest matching open element; unmatched close tags are
+    ignored; everything left open at EOF is implicitly closed.  A raw-text
+    element's (script/style/textarea) body is one text child, up to its
+    close tag or EOF."""
     root = Node("#root")
     cur = root
     open_stack = [root]
-    for ev in tokenize(html):
-        kind = ev[0]
-        if kind == TEXT:
-            if ev[1]:
-                cur.children.append(ev[1])
-        elif kind == OPEN:
-            _, name, attr_str, selfclose = ev
-            node = Node(name, attr_str, parent=cur)
-            cur.children.append(node)
-            if not selfclose:
-                open_stack.append(node)
-                cur = node
-        else:  # CLOSE
-            name = ev[1]
-            for i in range(len(open_stack) - 1, 0, -1):
-                if open_stack[i].tag == name:
-                    del open_stack[i:]
+    pos = 0
+    n = len(html)
+    while pos < n:
+        # one scan per raw-text element: it restarts after the close tag
+        restart = n
+        for m in _TOKEN_RE.finditer(html, pos):
+            kind = m.lastindex
+            if kind == _OPEN:
+                name = m[3].lower()
+                node = Node(name, m[4], cur)
+                cur.children.append(node)
+                if not (m[5] or name in VOID_TAGS):
+                    if name in RAW_TEXT_TAGS:  # the text after is its body
+                        end = _RAW_TEXT_END[name].search(html, m.start(6))
+                        body = html[m.start(6) : end.start() if end else n]
+                        if body:
+                            node.children.append(body)
+                        restart = end.end() if end else n
+                        break
+                    open_stack.append(node)
+                    cur = node
+            elif kind == _CLOSE:
+                name = m[1].lower()
+                if cur.tag == name:  # the common, well-nested case
+                    open_stack.pop()
                     cur = open_stack[-1]
-                    break
+                else:
+                    for i in range(len(open_stack) - 2, 0, -1):
+                        if open_stack[i].tag == name:
+                            del open_stack[i:]
+                            cur = open_stack[-1]
+                            break
+            elif kind is None:
+                continue
+            if m[kind]:  # the text run, or the text after a tag
+                cur.children.append(m[kind])
+        pos = restart
     return root
 
 
@@ -215,26 +218,24 @@ def body_or_root(root: Node) -> Node:
     return root
 
 
-@dataclass
 class Block:
     """A text block for block-classifier extractors: accumulated text plus
     character counts attributed to links and headings."""
 
-    texts: list = field(default_factory=list)
-    link_chars: int = 0
-    is_heading: bool = False
-    dom_path: str = ""
-    _text_cache: str | None = None
+    __slots__ = ("texts", "link_chars", "is_heading", "dom_path", "_text_cache")
+
+    def __init__(self, dom_path: str = ""):
+        self.texts: list[str] = []
+        self.link_chars = 0
+        self.is_heading = False
+        self.dom_path = dom_path
+        self._text_cache: str | None = None
 
     def text(self) -> str:
-        # " ".join(x.split()) == re.sub(r"\s+", " ", x).strip() for every
-        # whitespace codepoint (str.split and \s agree; probed incl.
-        # \x1c-\x1f, \x85, \xa0, U+2028, U+3000) and runs ~4x faster
-        # than the regex — this is the hottest string call in extraction.
         # Cached: a Block is finalized at flush() and text() is re-read by
         # every block classifier afterwards.
         if self._text_cache is None:
-            self._text_cache = " ".join(" ".join(self.texts).split())
+            self._text_cache = squeeze_ws(" ".join(self.texts))
         return self._text_cache
 
 
@@ -249,50 +250,54 @@ def segment_blocks(root: Node, skip_tags=RAW_TEXT_TAGS) -> list[Block]:
     """
     skip = frozenset(skip_tags)
     blocks: list[Block] = []
-    cur = Block()
+    cur: Block | None = None  # made on the block's first text run
+    cur_path = ""
 
     def flush(path: str):
-        nonlocal cur
-        if cur.text():
+        nonlocal cur, cur_path
+        if cur is not None:
             blocks.append(cur)
-        cur = Block(dom_path=path)
+            cur = None
+        cur_path = path
 
-    # DFS with explicit item kinds so a block boundary flushes both when the
-    # subtree is entered and when it is left.
-    FLUSH, TXT, ELEM = 0, 1, 2
-    stack: list = []
-    for c in reversed(root.children):
-        stack.append((ELEM if isinstance(c, Node) else TXT, c, 0, 0, ""))
+    # DFS over frames (children iterator, link depth, heading depth, path,
+    # exit path): a block-level element flushes both when it is entered and,
+    # at its frame's exit path, when it is left.
+    stack = [(iter(root.children), 0, 0, "", None)]
     while stack:
-        kind, c, link_depth, heading_depth, path = stack.pop()
-        if kind == FLUSH:
-            flush(path)
-            continue
-        if kind == TXT:
-            s = c.strip()
-            if s:
-                if heading_depth:
-                    cur.is_heading = True
-                cur.texts.append(s)
-                if link_depth:
-                    cur.link_chars += len(re.sub(r"\s+", " ", s))
-            continue
-        if c.tag in skip:
-            continue
-        npath = path + "/" + c.tag
-        if c.tag in BLOCK_TAGS:
-            flush(npath)
-            stack.append((FLUSH, None, 0, 0, path))
-        for ch in reversed(c.children):
+        children, link_depth, heading_depth, path, exit_path = stack[-1]
+        for c in children:
+            if isinstance(c, str):
+                s = c.strip()
+                if s:
+                    if cur is None:
+                        cur = Block(cur_path)
+                    if heading_depth:
+                        cur.is_heading = True
+                    cur.texts.append(s)
+                    if link_depth:
+                        cur.link_chars += len(squeeze_ws(s))
+                continue
+            tag = c.tag
+            if tag in skip:
+                continue
+            npath = path + "/" + tag
+            if tag in BLOCK_TAGS:
+                flush(npath)
             stack.append(
                 (
-                    ELEM if isinstance(ch, Node) else TXT,
-                    ch,
-                    link_depth + (1 if c.tag == "a" else 0),
-                    heading_depth + (1 if c.tag in _HEADING_TAGS else 0),
+                    iter(c.children),
+                    link_depth + (tag == "a"),
+                    heading_depth + (tag in _HEADING_TAGS),
                     npath,
+                    path if tag in BLOCK_TAGS else None,
                 )
             )
-    if cur.text():
+            break
+        else:
+            stack.pop()
+            if exit_path is not None:
+                flush(exit_path)
+    if cur is not None:
         blocks.append(cur)
     return blocks

@@ -211,12 +211,34 @@ def _rebucket(batch: pa.Table) -> pa.Table:
     )
 
 
+def _event_id_span(sf_dir: str) -> tuple[int, int]:
+    """(min, max) ``event_id``, or (0, -1) for no events, from one read of
+    that column (8 bytes per event).  The ids need not be dense or start
+    at 0; a null id has no arrival range, so it raises."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    ids = pq.read_table(
+        os.path.join(sf_dir, "events.parquet"), columns=["event_id"]
+    )["event_id"]
+    if ids.null_count:
+        raise ValueError(
+            f"events.parquet has {ids.null_count} null event_id values; "
+            "the arrival replay orders events by event_id"
+        )
+    span = pc.min_max(ids)
+    if span["min"].as_py() is None:
+        return 0, -1
+    return span["min"].as_py(), span["max"].as_py()
+
+
 def events_window_incremental(sf_dir: str,
                               n_chunks: int = N_ARRIVAL_CHUNKS):
     """STREAMING-STATE twin of ``events_window``: the closed table is
-    replayed as ``n_chunks`` arrival micro-batches (``event_id``
-    ranges); each micro-batch folds its combiner partials into a
-    running (window, type) -> (n, sum6) STATE that lives in the cluster
+    replayed as ``n_chunks`` arrival micro-batches (equal ``event_id``
+    ranges over [min id, max id], so sparse or offset ids are fine);
+    each micro-batch folds its combiner partials into a running
+    (window, type) -> (n, sum6) STATE that lives in the cluster
     as a keyed Dataset (union + the same bucketed vectorized reduce —
     never a driver-side dict, so state size is bounded by the cluster,
     not the driver).  After the final fold the state IS the batch
@@ -246,19 +268,15 @@ def events_window_incremental(sf_dir: str,
 
         return partials
 
-    import pyarrow.parquet as pq
-
-    n = pq.ParquetFile(
-        os.path.join(sf_dir, "events.parquet")
-    ).metadata.num_rows
-    chunk = max(1, -(-n // n_chunks))
+    lo, hi = _event_id_span(sf_dir)
+    chunk = max(1, -(-(hi - lo + 1) // n_chunks))
 
     state = None
     for c in range(n_chunks):
         part = _events(
             sf_dir, columns=["event_id", "ts", "event_type", "value"]
         ).map_batches(
-            partials_of(c * chunk, (c + 1) * chunk),
+            partials_of(lo + c * chunk, lo + (c + 1) * chunk),
             batch_format="pyarrow",
         )
         fold = part if state is None else state.union(part)

@@ -308,7 +308,16 @@ def link_components(sf_dir: str, iters: int = CC_ITERS):
         o = np.argsort(k0)  # one label row per node, so k0 is unique
         k0, lab0 = k0[o], lab0[o]
         k1, a1, b1 = k[~m0], a[~m0], b[~m0]
-        lt = lab0[np.searchsorted(k0, k1)]  # target's current label
+        at = np.searchsorted(k0, k1)
+        hit = at < len(k0)
+        hit[hit] = k0[at[hit]] == k1[hit]
+        if not hit.all():
+            raise ValueError(
+                f"link_components: link target {int(k1[~hit][0])} is not a "
+                "doc_id; the link graph needs contiguous doc_ids 0..n-1 "
+                "(n = documents row count)"
+            )
+        lt = lab0[at]  # target's current label
         # (target keeps sender's label) + (sender gets target's label
         # back) + (every node keeps its own label)
         node = np.concatenate([k1, b1, k0])

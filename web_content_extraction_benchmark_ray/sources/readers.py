@@ -277,7 +277,7 @@ def _body_plaintext(html: str) -> str:
 
     root = body_or_root(parse(html))
     root.drop_tags(frozenset(("script", "style", "noscript")))
-    return squeeze_ws(" ".join(root.text_chunks(frozenset()))).strip()
+    return squeeze_ws(" ".join(root.text_chunks(frozenset())))
 
 
 class CaseDirReader:
