@@ -92,9 +92,6 @@ class Node:
         self.parent = parent
         self._attrs: dict | None = None
 
-    def __repr__(self) -> str:
-        return f"Node({self.tag!r}, {len(self.children)} children)"
-
     @property
     def attrs(self) -> dict[str, str]:
         if self._attrs is None:
