@@ -428,7 +428,9 @@ def test_window_incremental_takes_sparse_offset_ids(ray_session, tmp_path):
         events_window_incremental,
     )
 
-    ev = pq.read_table("/root/testdata/sf0.001/events.parquet")
+    from test_graphops import SF  # the sf0.001 tables
+
+    ev = pq.read_table(f"{SF}/events.parquet")
     i = ev.schema.get_field_index("event_id")
     ids = pc.add(pc.multiply(ev["event_id"], 3), 10**12)
     pq.write_table(ev.set_column(i, "event_id", ids), tmp_path / "events.parquet")

@@ -30,7 +30,9 @@ _STYLE = re.compile(r"<style(\s+[^>]*)?>.*?</style>", re.S | re.I)
 _TOKEN = re.compile(r"<[^>]+>|[^\s<]+")
 _KIND_RUN = re.compile(r"<+|[^<]+")
 
-_PAR_BREAK_TAGS = ("p", "div", "hr", "blockquote", "table", "h1", "h2", "h3", "li")
+_PAR_BREAK_TAGS = (
+    "p", "div", "hr", "blockquote", "table", "h1", "h2", "h3", "li"
+)
 # A tag token whose name (the published ``^<([^\s>]+)``) lowercases to a
 # break tag.  Spelled with ASCII case classes, not re.I: re.I lets 'i' match
 # U+0130/U+0131, which ``str.lower`` does not map to 'i'.
