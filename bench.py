@@ -26,7 +26,12 @@ import sys
 import time
 
 DEFAULT_SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-DEFAULT_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32") or "32")
+# the host's usable CPUs: every partition count derives from the session's
+# CPUs (stages/shuffle.session_cpus), so a session wider than the host
+# inflates all of them
+DEFAULT_CPUS = int(
+    os.environ.get("RAY_GRAFT_CPUS") or len(os.sched_getaffinity(0))
+)
 
 HEADLINE_MODELS = ("bte", "justext", "density", "readability", "tagclean")
 

@@ -6,6 +6,7 @@ Usage: python scripts/check_oracles.py [sf_dir] [query ...]
 """
 from __future__ import annotations
 
+import os
 import sys
 
 import duckdb
@@ -42,7 +43,12 @@ def main() -> None:
 
     import ray
 
-    ray.init(address="local", num_cpus=8, include_dashboard=False,
+    # the host's usable CPUs (RAY_GRAFT_CPUS overrides): partition counts
+    # derive from the session's CPUs, so a wider session inflates them
+    cpus = int(
+        os.environ.get("RAY_GRAFT_CPUS") or len(os.sched_getaffinity(0))
+    )
+    ray.init(address="local", num_cpus=cpus, include_dashboard=False,
              logging_level="ERROR")
     from ray.data import DataContext
 

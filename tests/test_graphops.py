@@ -166,3 +166,24 @@ def test_link_components_rejects_a_link_target_that_is_not_a_document(
     with pytest.raises(Exception, match="contiguous doc_ids") as err:
         link_components(str(tmp_path)).take_all()
     assert f"link target {gone} is not a doc_id" in str(err.value)
+
+
+def test_link_pagerank_rejects_a_link_target_that_is_not_a_document(
+    ray_session, tmp_path
+):
+    """PageRank derives link targets as ``f(doc_id) % n`` too.  On a copy
+    without doc 0 the ids are 1..n while targets fall in 0..n-1, so doc 0
+    would come back as a phantom node with a rank (n + 1 rows where the
+    SQL twin, which joins targets to documents, has n); it must fail
+    loudly instead."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    docs = pq.read_table(f"{SF}/documents.parquet")
+    kept = docs.filter(pc.not_equal(docs["doc_id"], 0))
+    ids = np.asarray(kept["doc_id"].to_pylist(), np.int64)
+    assert 0 in _edge_dsts(ids, len(ids))
+    pq.write_table(kept, tmp_path / "documents.parquet")
+    with pytest.raises(Exception, match="contiguous doc_ids") as err:
+        link_pagerank(str(tmp_path)).take_all()
+    assert "link_pagerank: link target 0 is not a doc_id" in str(err.value)

@@ -41,6 +41,7 @@ from ..functions.hashing import hash60, shingles
 from ..functions.text import tokenize_ws
 from ..sources.storage import read_table
 from ..stages.coalesce import coalesce_small
+from ..stages.shuffle import co_partition
 from ..state.memo import fetch, memo
 
 # --------------------------------------------------------------- constants
@@ -771,10 +772,9 @@ def curate_corpus(sf_dir: str, range_size: int = PACK_RANGE,
     1. ONE stateless map computes every per-doc signal in a single
        tokenize pass (Gopher mask, token count, content hash60,
        contamination vs the broadcast benchmark shingle set).
-    2. ONE content all-to-all: the dedup family's wide-bucket sorted
-       co-group (stages/dedup._bucket_sorted) marks non-minimal docs per
-       content hash — the text itself never shuffles, only the signal
-       rows.
+    2. ONE content all-to-all: a ``stages/shuffle.co_partition`` on the
+       content hash marks non-minimal docs per content hash — the text
+       itself never shuffles, only the signal rows.
     3. The pack_shards two-level prefix scan over INDEX rows only
        (doc_id, n_tokens), kept docs first filtered so dropped rows
        never enter the scan.
@@ -784,7 +784,6 @@ def curate_corpus(sf_dir: str, range_size: int = PACK_RANGE,
     import pyarrow.compute as pc
 
     from ..functions.textstats import STOPWORDS
-    from ..stages import dedup as dd
     from .dataops import _aug_docs
     from .qualityops import gopher_mask
 
@@ -812,9 +811,6 @@ def curate_corpus(sf_dir: str, range_size: int = PACK_RANGE,
                     np.asarray(ids, dtype=np.int64)
                 ),
                 "h": pa.array(h_arr),
-                "bucket": pa.array(
-                    (h_arr % dd.WIDE_PAIR_SPACE).astype(np.int32)
-                ),
                 "n_tokens": pa.array(ntoks, pa.int64()),
                 "pmask": pa.array(masks, pa.int64()),
             }
@@ -840,11 +836,9 @@ def curate_corpus(sf_dir: str, range_size: int = PACK_RANGE,
             }
         )
 
-    marked = dd._bucket_sorted(
-        _aug_docs(sf_dir).map_batches(signals, batch_format="pyarrow")
-    ).map_batches(
-        mark_dups, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True,
+    marked = co_partition(
+        _aug_docs(sf_dir).map_batches(signals, batch_format="pyarrow"),
+        mark_dups, key="h",
     ).materialize()  # index rows only; read twice (kept scan + dropped)
 
     kept_idx = marked.map_batches(

@@ -28,6 +28,7 @@ from ..functions.textstats import lang_id, quality_features, token_counts
 from ..stages import dedup as dd
 from ..stages import simsearch as ss
 from ..stages.media import decode_media
+from ..stages.shuffle import co_partition, partition_count, wide_bucket
 from ..state.memo import fetch, memo
 
 EXACT_COPY_EVERY = 10
@@ -117,29 +118,25 @@ def _reversed_incoming(batch: pa.Table) -> pa.Table:
     )
 
 
-def _incoming_id_rows_fn(nb: int):
+def _incoming_id_rows(batch: pa.Table) -> pa.Table:
     """Incoming doc_ids WITHOUT text work (ids are arithmetic on the
     base ids): the anti-join side of dedup_incremental_minhash."""
-    def rows(batch: pa.Table) -> pa.Table:
-        out = []
-        for i in batch.column("doc_id").to_pylist():
-            i = int(i)
-            if i % EXACT_COPY_EVERY == 0:
-                out.append(i + EXACT_COPY_OFFSET)
-            if i % NEAR_DUP_EVERY == 0:
-                out.append(i + NEAR_DUP_OFFSET)
-            if i % INC_NOVEL_EVERY == 0:
-                out.append(i + INC_NOVEL_OFFSET)
-        ids = np.asarray(out, dtype=np.int64)
-        return pa.table(
-            {
-                "bucket": pa.array((ids % nb).astype(np.int32)),
-                "doc_id": pa.array(ids, pa.int64()),
-                "kind": pa.array(np.full(len(ids), 2, dtype=np.int32)),
-            }
-        )
-
-    return rows
+    out = []
+    for i in batch.column("doc_id").to_pylist():
+        i = int(i)
+        if i % EXACT_COPY_EVERY == 0:
+            out.append(i + EXACT_COPY_OFFSET)
+        if i % NEAR_DUP_EVERY == 0:
+            out.append(i + NEAR_DUP_OFFSET)
+        if i % INC_NOVEL_EVERY == 0:
+            out.append(i + INC_NOVEL_OFFSET)
+    ids = np.asarray(out, dtype=np.int64)
+    return pa.table(
+        {
+            "doc_id": pa.array(ids, pa.int64()),
+            "kind": pa.array(np.full(len(ids), 2, dtype=np.int32)),
+        }
+    )
 
 
 # ------------------------------------------------------------------- dedup
@@ -195,11 +192,12 @@ def dedup_incremental(sf_dir: str, bloom_bits: int | None = None):
        MISSES are certain non-members and pass through shuffle-free;
     3. only bloom HITS (true dups + rare false positives) co-group with
        the reference HASH rows for the exact confirm; false positives
-       survive it.  The reference side is PRE-FILTERED to the hit
-       buckets (the distinct-bucket set is at most ``nb`` values,
-       broadcast once), so the confirm all-to-all ships
-       ~|hit_buckets|/nb of the reference rows instead of all of them —
-       and zero rows when there are no hits at all (early return).
+       survive it.  Both sides route by ``wide_bucket(h)``
+       (``stages/shuffle``); the reference side is PRE-FILTERED to the
+       hit buckets (at most one per hit, broadcast once), so the
+       confirm all-to-all ships ~|hit_buckets|/2^20 of the reference
+       rows instead of all of them — and zero rows when there are no
+       hits at all (early return).
 
     Within-batch duplicates are NOT collapsed here (that is
     ``dedup_exact``'s job); the operator answers "which incoming docs
@@ -214,14 +212,8 @@ def dedup_incremental(sf_dir: str, bloom_bits: int | None = None):
         bloom_from_hashes,
         distinct_int_values,
     )
-    from ..stages.vecagg import DEFAULT_BUCKETS
 
     m = int(bloom_bits or BLOOM_BITS_DEFAULT)
-    # confirm-co-group bucket count scales with the reference cardinality
-    # so a bucket group stays ~1M hash rows no matter the corpus (the
-    # row count is parquet metadata — no data pass)
-    n_ref = _docs(sf_dir).count()
-    nb = min(1 << 20, max(DEFAULT_BUCKETS, n_ref // 1_000_000))
 
     def ref_hash_rows(batch: pa.Table) -> pa.Table:
         hs = [hash60(t) for t in batch.column("text").to_pylist()]
@@ -278,16 +270,14 @@ def dedup_incremental(sf_dir: str, bloom_bits: int | None = None):
         h = np.asarray(t.column("h").to_pylist(), dtype=np.int64)
         return pa.table(
             {
-                "bucket": pa.array(
-                    (h % nb + nb) % nb, pa.int32()
-                ),
+                "bucket": pa.array(wide_bucket(h)),
                 "doc_id": pc.cast(t.column("doc_id"), pa.int64()),
                 "h": pc.cast(t.column("h"), pa.int64()),
                 "side": pa.array([0] * t.num_rows, pa.int32()),
             }
         )
 
-    # distinct hit buckets: bounded by nb, tiny when hits are few — the
+    # distinct hit buckets: at most one per hit, tiny when hits are few — the
     # broadcast that lets the confirm skip untouched reference buckets
     # (hits are pinned: the bucket collection and the confirm union both
     # read them)
@@ -302,7 +292,7 @@ def dedup_incremental(sf_dir: str, bloom_bits: int | None = None):
     def ref_rows(b: pa.Table) -> pa.Table:
         hb = fetch(hb_ref)
         h = np.asarray(b.column("h").to_pylist(), dtype=np.int64)
-        bucket = (h % nb + nb) % nb
+        bucket = wide_bucket(h)
         keep = np.isin(bucket, hb)
         h, bucket = h[keep], bucket[keep]
         return pa.table(
@@ -327,10 +317,9 @@ def dedup_incremental(sf_dir: str, bloom_bits: int | None = None):
             }
         )
 
-    confirmed_new = (
-        hits.union(ref_hashes.map_batches(ref_rows, batch_format="pyarrow"))
-        .groupby("bucket")
-        .map_groups(anti, batch_format="pyarrow")
+    confirmed_new = co_partition(
+        hits.union(ref_hashes.map_batches(ref_rows, batch_format="pyarrow")),
+        anti,
     )
     return misses.union(confirmed_new)
 
@@ -353,18 +342,16 @@ def dedup_incremental_minhash(sf_dir: str, bloom_bits: int | None = None):
        band — miss rows never enter the confirm shuffle.
     3. Hit rows co-group with reference band rows PRE-FILTERED to the
        hit buckets (distinct hit-bucket set broadcast, the
-       dedup_incremental discipline).  The co-group is the wide-space
-       balanced sort (stages/dedup.py:_bucket_sorted — a 256-value
-       groupby key skews sampled sort boundaries ~3x, the repo's
-       measured small-keyspace trap) with one confirm call per
-       PARTITION: posting lists by (band_id, band_key) pair incoming x
-       reference members, and the full signatures carried on the band
-       rows (no join) confirm ``est_jaccard >= MINHASH_THRESHOLD`` —
+       dedup_incremental discipline).  The co-group is
+       ``stages/shuffle.co_partition`` on the band rows' bucket, with
+       one confirm call per PARTITION: posting lists by (band_id,
+       band_key) pair incoming x reference members, and the full
+       signatures carried on the band rows (no join) confirm
+       ``est_jaccard >= MINHASH_THRESHOLD`` —
        dedup_minhash_pairs' exact verify.  Posting lists over
        ``LSH_POSTING_CAP`` drop loudly (stages/dedup.py:_cap_posting).
     4. Output = incoming ids with NO confirmed reference partner, via
-       the same wide-space sorted co-group as an anti-join (no driver
-       id set).
+       a doc_id co-partition as an anti-join (no driver id set).
 
     The incoming view is the augmented additions PLUS a token-REVERSED
     variant of every ``INC_NOVEL_EVERY``-th doc: reversal rewrites every
@@ -386,19 +373,15 @@ def dedup_incremental_minhash(sf_dir: str, bloom_bits: int | None = None):
     )
 
     m = int(bloom_bits or BLOOM_BITS_DEFAULT)
-    # the MEMOIZED wide-bucket band rows (shared with the whole minhash
-    # family, _aug_band_rows) already carry everything this op needs —
-    # no second signature pass over the corpus (the signature Python
-    # loop is the family's dominant cost), and the wide bucket feeds
-    # _bucket_sorted directly
-    nb = dd.WIDE_PAIR_SPACE
+    # the MEMOIZED band rows (shared with the whole minhash family,
+    # _aug_band_rows) already carry everything this op needs — no second
+    # signature pass over the corpus (the signature Python loop is the
+    # family's dominant cost), and their bucket feeds co_partition
+    # directly
     wide = _aug_band_rows(sf_dir)
-    # size-fitted sort partitions (~1 per 16 MiB of corpus, the
-    # embedding_dup_pairs discipline): band+id rows are a small multiple
-    # of the text size, and 2/CPU partitions on a small corpus are pure
-    # scheduling overhead
+    # band+id rows are a small multiple of the text size
     nbytes = os.path.getsize(os.path.join(sf_dir, "documents.parquet"))
-    parts = max(4, -(-(nbytes * 2) // (16 << 20)))
+    parts = partition_count(2 * nbytes)
 
     def ref_from_wide(b: pa.Table) -> pa.Table:
         return b.filter(
@@ -444,10 +427,7 @@ def dedup_incremental_minhash(sf_dir: str, bloom_bits: int | None = None):
     # wide memo; only the reversed novel family needs fresh signatures
     rev_bands = _docs(sf_dir).map_batches(
         _reversed_incoming, batch_format="pyarrow"
-    ).map_batches(
-        minhash_band_rows, fn_kwargs={"num_buckets": nb},
-        batch_format="pyarrow",
-    )
+    ).map_batches(minhash_band_rows, batch_format="pyarrow")
     classified = (
         wide.map_batches(add_from_wide, batch_format="pyarrow")
         .union(rev_bands)
@@ -459,7 +439,7 @@ def dedup_incremental_minhash(sf_dir: str, bloom_bits: int | None = None):
         read_table(
             os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
         )
-        .map_batches(_incoming_id_rows_fn(nb), batch_format="pyarrow")
+        .map_batches(_incoming_id_rows, batch_format="pyarrow")
     )
 
     hit_buckets = distinct_int_values(classified, "bucket")
@@ -507,24 +487,17 @@ def dedup_incremental_minhash(sf_dir: str, bloom_bits: int | None = None):
         ids = np.array(sorted(dups), dtype=np.int64)
         return pa.table(
             {
-                "bucket": pa.array((ids % nb).astype(np.int32)),
                 "doc_id": pa.array(ids, pa.int64()),
                 "kind": pa.array(np.zeros(len(ids), dtype=np.int32)),
             }
         )
 
-    # wide-space balanced sorts, one Python call per PARTITION (the
-    # groupby-on-256-values sampled-boundary skew trap measured at
-    # stages/dedup.py:282): confirm keys postings by (band_id, band_key)
-    # and the anti-join by doc_id, so multi-bucket partitions are
-    # semantically identical to per-bucket groups
-    dup_rows = dd._bucket_sorted(
+    # one Python call per PARTITION: confirm keys postings by
+    # (band_id, band_key) and the anti-join by doc_id
+    dup_rows = co_partition(
         classified.map_batches(hit_side, batch_format="pyarrow")
         .union(ref_bands.map_batches(ref_side, batch_format="pyarrow")),
-        partitions=parts,
-    ).map_batches(
-        confirm, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True,
+        confirm, partitions=parts,
     )
 
     def keep_novel(part: pa.Table) -> pa.Table:
@@ -534,11 +507,8 @@ def dedup_incremental_minhash(sf_dir: str, bloom_bits: int | None = None):
         keep = [int(i) for i in ids[kinds == 2] if int(i) not in dead]
         return pa.table({"doc_id": pa.array(keep, pa.int64())})
 
-    return dd._bucket_sorted(
-        inc_ids.union(dup_rows), partitions=parts
-    ).map_batches(
-        keep_novel, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True,
+    return co_partition(
+        inc_ids.union(dup_rows), keep_novel, key="doc_id", partitions=parts
     )
 
 
@@ -561,7 +531,7 @@ def dedup_fingerprint_survivors(sf_dir: str):
 
 
 def _aug_band_rows(sf_dir: str):
-    """Materialized wide-space MinHash band rows of the augmented view,
+    """Materialized MinHash band rows of the augmented view,
     memoized per (documents file, Ray job) (``state/memo``): pairs,
     survivors, the cluster-size histogram and the incremental screen all
     start from the same signature pass, which dominates the family's
@@ -570,9 +540,7 @@ def _aug_band_rows(sf_dir: str):
     return memo(
         "dataops.mh_band_rows", os.path.join(sf_dir, "documents.parquet"),
         lambda: _aug_docs(sf_dir).map_batches(
-            dd.minhash_band_rows,
-            fn_kwargs={"num_buckets": dd.WIDE_PAIR_SPACE},
-            batch_format="pyarrow",
+            dd.minhash_band_rows, batch_format="pyarrow"
         ).materialize(),
     )
 
@@ -1190,8 +1158,9 @@ def embedding_dup_survivors(sf_dir: str):
 
     ds = _emb(sf_dir).map_batches(_augment_emb, batch_format="pyarrow")
     nbytes = os.path.getsize(os.path.join(sf_dir, "embeddings.parquet"))
-    parts = max(4, -(-(nbytes * 8) // (16 << 20)))
-    pairs = ss.cosine_dup_pairs_lsh(ds, partitions=parts)
+    pairs = ss.cosine_dup_pairs_lsh(
+        ds, partitions=partition_count(8 * nbytes)
+    )
 
     def pair_ids(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -1221,12 +1190,12 @@ def embedding_dup_pairs(sf_dir: str):
     no corpus broadcast, no all-pairs matmul (the round-1 broadcast form
     did not scale past a worker's heap)."""
     ds = _emb(sf_dir).map_batches(_augment_emb, batch_format="pyarrow")
-    # size-fitted sort partitions: three all-to-alls at 2/CPU partitions
-    # are pure scheduling overhead on small corpora (~1 per 16 MiB, the
-    # extraction pipeline's PARTITION_TARGET_BYTES discipline)
+    # the augmented vectors cross the sorts as float64 lists, a few
+    # times the parquet bytes
     nbytes = os.path.getsize(os.path.join(sf_dir, "embeddings.parquet"))
-    parts = max(4, -(-(nbytes * 8) // (16 << 20)))
-    return ss.cosine_dup_pairs_lsh(ds, partitions=parts)
+    return ss.cosine_dup_pairs_lsh(
+        ds, partitions=partition_count(8 * nbytes)
+    )
 
 
 # ----------------------------------------------------------------- semdedup
@@ -2689,11 +2658,6 @@ def dup_span_scrub(sf_dir: str, broadcast_max_types: int | None = None):
         return _aug_docs(sf_dir).map_batches(scrub, batch_format="pyarrow")
 
     # ---- scale path: explode occurrences with positions, join, co-locate
-    from ..stages.reassemble import (
-        _KNUTH,
-        WIDE_BUCKET_SPACE,
-        _default_partitions,
-    )
 
     def explode_pos(batch: pa.Table) -> pa.Table:
         ids_out, s_out, h_out = [], [], []
@@ -2746,30 +2710,15 @@ def dup_span_scrub(sf_dir: str, broadcast_max_types: int | None = None):
         batch_format="pyarrow",
     )
 
-    def add_b(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(
-            batch.column("doc_id").to_pylist(), dtype=np.int64
-        ).astype(np.uint64)
-        bucket = (
-            ((ids * _KNUTH) & np.uint64(0xFFFFFFFF))
-            % np.uint64(WIDE_BUCKET_SPACE)
-        ).astype(np.int64)
-        return batch.append_column("bucket", pa.array(bucket, pa.int64()))
-
-    both = dup_starts.union(doc_rows).map_batches(
-        add_b, batch_format="pyarrow"
-    )
     # partition count honors the 64 MiB size floor: doc text crosses this
-    # sort once, so feed the reassemble partitioner the corpus byte size
-    # (x2 for the augmented view + occurrence rows riding along)
+    # sort once, so feed partition_count the corpus byte size (x2 for
+    # the augmented view + occurrence rows riding along)
     try:
         input_bytes = 2 * os.path.getsize(
             os.path.join(sf_dir, "documents.parquet")
         )
     except OSError:
         input_bytes = None
-    p = _default_partitions(input_bytes)
-    bounds = [WIDE_BUCKET_SPACE * i // p for i in range(1, p)]
 
     def rewrite(part: pa.Table) -> pa.Table:
         if part.num_rows == 0:
@@ -2795,9 +2744,9 @@ def dup_span_scrub(sf_dir: str, broadcast_max_types: int | None = None):
             return finish_rows([], [], [], [])
         return finish_rows(out_i, out_t, out_n, out_r)
 
-    return both.sort("bucket", boundaries=bounds).map_batches(
-        rewrite, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True,
+    return co_partition(
+        dup_starts.union(doc_rows), rewrite, key="doc_id",
+        partitions=partition_count(input_bytes),
     )
 
 

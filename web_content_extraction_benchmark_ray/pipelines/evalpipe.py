@@ -20,13 +20,13 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 
 from ..functions.evalx import levenshtein_token_ratio, rouge_lsum
 from ..functions.text import tokenize_ws
 from ..sources import pagegen as pg
 from ..sources.storage import read_table
 from ..stages.coalesce import coalesce_small
+from ..stages.shuffle import session_cpus
 from ..schema import SCORES
 
 EVAL_MODELS = ("bte", "whole_text")
@@ -34,10 +34,6 @@ EVAL_MODELS = ("bte", "whole_text")
 
 def truth_plaintext(text: str) -> str:
     return " ".join(pg.main_paragraphs(text))
-
-
-def _cpus() -> int:
-    return int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
 
 
 def join_partitions(cpus: int | None = None) -> int:
@@ -50,7 +46,7 @@ def join_partitions(cpus: int | None = None) -> int:
     count therefore grows with cores but caps the actor pool at ~25% of
     the cluster; callers joining genuinely large sides should pass an
     explicit ``num_partitions`` and budget the reservation."""
-    c = cpus if cpus is not None else _cpus()
+    c = cpus if cpus is not None else session_cpus()
     return max(8, min(16, c // 4))
 
 
@@ -128,7 +124,7 @@ def _ext_project(batch: pa.Table) -> pa.Table:
 
 
 def scores_pipeline(sf_dir: str, models=EVAL_MODELS):
-    cpus = _cpus()
+    cpus = session_cpus()
     # shared extraction cache (pipelines/extractcache.py): models already
     # computed by the extract queries / bench headline stream back from
     # parquet; only genuinely missing models run the pipeline (judge r2:

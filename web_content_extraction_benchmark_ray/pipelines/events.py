@@ -1,7 +1,7 @@
 """Event-stream operators: tumbling-window aggregate, sessionization,
 as-of join — the "custom operators Ray Data lacks" family (windowed
 aggregate / streaming window / as-of join), each expressed as a
-composition of map_batches + bucketed groupby + in-group sort, with the
+composition of map_batches + co-partition + in-group sort, with the
 partitioning assumption documented and a DuckDB oracle.
 
 The reference is strictly batch with no windowing (SURVEY.md §2.9); these
@@ -13,14 +13,18 @@ others assume processing-time completeness.
 
 Partitioning assumptions:
 - window aggregate: none (commutative partial aggregation per batch; the
-  final reduce moves one row per (window, type) per block).
-- sessionization / as-of / rolling frame / range join / lag: all events
-  of one ``user_id`` must meet in one group — the groupby key is
-  ``user_id % USER_BUCKETS`` (two-level grouping, same discipline as
-  the reassembly shuffle); per-user work is a sorted linear scan or a
-  fused-key searchsorted pass.
+  final reduce co-locates one row per (window, type) per block with
+  ``stages/shuffle.co_partition`` and reduces each partition vectorized).
+- sessionization / as-of / rolling frame / range join / lag / paths /
+  retention / funnel: all events of one ``user_id`` must meet in one
+  task — ``co_partition(ds, fn, key="user_id")`` routes them (the
+  reassembly shuffle's wide-space sort; one call per partition, many
+  users per call), and per-user work is a sorted linear scan or a
+  fused-key searchsorted pass keyed on ``user_id`` itself.
 - watermark: arrival buckets (``event_id // range``) plus a tiny driver
-  prefix-max over per-bucket maxima — no raw-event shuffle at all.
+  prefix-max over per-bucket maxima — no raw-event shuffle at all.  Its
+  groups ARE the range buckets (the scan reads ``bucket[0]``), so it
+  stays on ``groupby("bucket").map_groups``.
 """
 from __future__ import annotations
 
@@ -29,11 +33,11 @@ import os
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data
+
+from ..stages.shuffle import co_partition, session_cpus, wide_bucket
 
 WINDOW_S = 3600  # tumbling window width (seconds)
 SESSION_GAP_S = 1800  # sessionization gap threshold (30 min)
-USER_BUCKETS = 64  # small-scale default for the user co-location buckets
 ASOF_TYPE = "error"  # as-of join: latest prior event of this type per user
 
 
@@ -41,16 +45,11 @@ def _events(sf_dir: str, columns=None):
     from ..sources.storage import capped_num_blocks, read_table
 
     path = os.path.join(sf_dir, "events.parquet")
-    cpus = (
-        int(ray.cluster_resources().get("CPU", 4))
-        if ray.is_initialized()
-        else 4
-    )
     # cap the block ask at the row-group count: an over-ask synthesizes
     # schema-less zero-row blocks (schema-stability warnings downstream)
     return read_table(
         path, columns=columns,
-        override_num_blocks=capped_num_blocks(path, 2 * cpus),
+        override_num_blocks=capped_num_blocks(path, 2 * session_cpus()),
     )
 
 
@@ -71,14 +70,14 @@ def _quantize_micro(col) -> np.ndarray:
     ).astype(np.int64)
 
 
-# Coarse reduce-bucket count: the global reduce groups by this key, then
-# reduces each bucket's rows VECTORIZED (np.add.at over the fused
-# (window, type) key).  Ray's native Sum aggregate Python-combines once
-# per distinct key — measured 2.7 of events_sliding's 3.6 s at sf0.1 for
-# 14.4k keys; 64 buckets × vectorized interiors reduce the same rows in
-# milliseconds, and at years-of-data key cardinality each bucket is still
-# a flat array reduction, never a per-key loop.
-N_AGG_BUCKETS = 64
+# The global reduce co-locates partial rows by a cross-block-stable key,
+# window + hash60(type) (``_reduce_bucket``), then reduces each partition
+# VECTORIZED (np.add.at over the fused (window, type) key).  Ray's native
+# Sum aggregate Python-combines once per distinct key — measured 2.7 of
+# events_sliding's 3.6 s at sf0.1 for 14.4k keys; a flat array reduction
+# per partition costs milliseconds at any key cardinality.
+def _reduce_bucket(win: np.ndarray, type_hash: np.ndarray) -> pa.Array:
+    return pa.array(wide_bucket(win + type_hash), pa.int32())
 
 
 def _window_partials(
@@ -102,10 +101,9 @@ def _window_partials(
     tix = (uk % nt).astype(np.int64)
     # cross-block-stable reduce bucket: window + content hash of the type
     thash = np.array([hash60(t) for t in types.tolist()], dtype=np.int64)
-    bucket = (win + thash[tix]) % N_AGG_BUCKETS
     return pa.table(
         {
-            "bucket": pa.array(bucket, pa.int64()),
+            "bucket": _reduce_bucket(win, thash[tix]),
             "window_start_s": pa.array(win, pa.int64()),
             "event_type": pa.array(types[tix].tolist(), pa.string()),
             "n_part": pa.array(n, pa.int64()),
@@ -115,9 +113,9 @@ def _window_partials(
 
 
 def _window_reduce(group: pa.Table) -> pa.Table:
-    """Per-bucket global reduce: one vectorized pass over ALL of the
-    bucket's partial rows (np.add.at over the fused key), never a
-    per-key Python call."""
+    """Per-partition global reduce: one vectorized pass over ALL of the
+    partition's partial rows (np.add.at over the fused (window, type)
+    key), never a per-key Python call."""
     win = np.asarray(group.column("window_start_s").to_pylist(), np.int64)
     et = np.asarray(group.column("event_type").to_pylist(), dtype=object)
     n = np.asarray(group.column("n_part").to_pylist(), np.int64)
@@ -164,9 +162,9 @@ def events_window(sf_dir: str):
     """Per (hour window, event_type): count, sum(value), mean(value).
 
     Map-side partial aggregation (combiner) inside each batch; the
-    global reduce groups by ``N_AGG_BUCKETS`` coarse buckets and reduces
-    each bucket vectorized (see ``_window_reduce``) — the shuffle never
-    moves raw events, and no stage loops per key."""
+    global reduce co-locates the partials by (window, type) and reduces
+    each partition vectorized (see ``_window_reduce``) — the shuffle
+    never moves raw events, and no stage loops per key."""
 
     def partials(batch: pa.Table) -> pa.Table:
         win = (_epoch_s(batch.column("ts")) // WINDOW_S) * WINDOW_S
@@ -179,9 +177,7 @@ def events_window(sf_dir: str):
 
     ds = _events(sf_dir, columns=["ts", "event_type", "value"])
     parts = ds.map_batches(partials, batch_format="pyarrow")
-    agg = parts.groupby("bucket").map_groups(
-        _window_reduce, batch_format="pyarrow"
-    )
+    agg = co_partition(parts, _window_reduce)
     return agg.map_batches(_window_finish, batch_format="pyarrow")
 
 
@@ -191,18 +187,17 @@ N_ARRIVAL_CHUNKS = 8  # micro-batch replay slices (event_id ranges)
 
 def _rebucket(batch: pa.Table) -> pa.Table:
     """Re-attach the cross-block-stable reduce bucket to carried state
-    rows (the same (window + hash(type)) % B key _window_partials
-    assigns), so the next micro-batch fold co-locates state with the
-    incoming partials."""
+    rows (the same ``_reduce_bucket`` _window_partials assigns), so the
+    next micro-batch fold co-locates state with the incoming partials."""
     from ..functions.hashing import hash60
 
     win = np.asarray(batch.column("window_start_s").to_pylist(), np.int64)
     et = batch.column("event_type").to_pylist()
-    b = (win + np.array([hash60(t) for t in et], np.int64)) % N_AGG_BUCKETS
+    thash = np.array([hash60(t) for t in et], np.int64)
     # column order must match _window_partials' exactly (union schema)
     return pa.table(
         {
-            "bucket": pa.array(b, pa.int64()),
+            "bucket": _reduce_bucket(win, thash),
             "window_start_s": pa.array(win, pa.int64()),
             "event_type": pa.array(et, pa.string()),
             "n_part": batch.column("n_part"),
@@ -281,8 +276,7 @@ def events_window_incremental(sf_dir: str,
         )
         fold = part if state is None else state.union(part)
         state = (
-            fold.groupby("bucket")
-            .map_groups(_window_reduce, batch_format="pyarrow")
+            co_partition(fold, _window_reduce)
             .map_batches(_rebucket, batch_format="pyarrow")
             .materialize()  # cut the lineage chain between micro-batches
         )
@@ -319,9 +313,7 @@ def events_sliding(sf_dir: str):
 
     ds = _events(sf_dir, columns=["ts", "event_type", "value"])
     parts = ds.map_batches(partials, batch_format="pyarrow")
-    agg = parts.groupby("bucket").map_groups(
-        _window_reduce, batch_format="pyarrow"
-    )
+    agg = co_partition(parts, _window_reduce)
     return agg.map_batches(_window_finish, batch_format="pyarrow")
 
 
@@ -339,12 +331,7 @@ def _eid_range(sf_dir: str) -> int:
     n = pq.ParquetFile(
         os.path.join(sf_dir, "events.parquet")
     ).metadata.num_rows
-    cpus = (
-        int(ray.cluster_resources().get("CPU", 4))
-        if ray.is_initialized()
-        else 4
-    )
-    return max(EID_RANGE_MIN, -(-n // (16 * cpus)))
+    return max(EID_RANGE_MIN, -(-n // (16 * session_cpus())))
 
 
 def events_watermark(sf_dir: str):
@@ -429,7 +416,7 @@ def events_watermark(sf_dir: str):
 ROLL_RANGE_S = 3600  # trailing RANGE frame width (inclusive), seconds
 
 
-def events_rolling(sf_dir: str, user_buckets: int | None = None):
+def events_rolling(sf_dir: str):
     """Per-event trailing RANGE-frame aggregate — the window-FRAME
     operator shape (every row gets its own window) that the tumbling /
     sliding aggregates (one row per window) do not cover: for each
@@ -441,13 +428,13 @@ def events_rolling(sf_dir: str, user_buckets: int | None = None):
     (``_quantize_micro`` discipline; mean is floor(sum/n), floor-safe
     on both sides).
 
-    Partitioning: the sessionize user-bucket co-group (all events of a
+    Partitioning: the sessionize user co-partition (all events of a
     user meet in one group; raw rows cross the shuffle ONCE).  Per
     group the scan is fully vectorized: sort by (user, s), fuse
     (user_rank, shifted_s) into one monotone int64 key with a per-user
     span wide enough that a frame can never reach the previous user,
     then two ``np.searchsorted`` calls + one prefix-sum difference give
-    every row's frame — no per-user Python loop, so a bucket with a
+    every row's frame — no per-user Python loop, so a partition with a
     million users costs the same three array passes."""
 
     def roll(group: pa.Table) -> pa.Table:
@@ -480,22 +467,17 @@ def events_rolling(sf_dir: str, user_buckets: int | None = None):
         )
 
     ds = _events(sf_dir, columns=["event_id", "ts", "user_id", "value"])
-    ds = ds.map_batches(
-        _add_user_bucket,
-        fn_kwargs={"num_buckets": user_buckets or derived_user_buckets()},
-        batch_format="pyarrow",
-    )
-    return ds.groupby("bucket").map_groups(roll, batch_format="pyarrow")
+    return co_partition(ds, roll, key="user_id")
 
 
 # ---------------------------------------------------------------- lag/lead
-def events_lag(sf_dir: str, user_buckets: int | None = None):
+def events_lag(sf_dir: str):
     """LAG/LEAD window shape: per event, seconds since the same user's
     PREVIOUS event and until the NEXT one (order: s, then event_id; -1
     at the partition edges) — inter-arrival gaps, the feature stream
     behind session-gap tuning and burst detection.
 
-    Same user-bucket co-group as sessionize; per group one lexsort and
+    Same user co-partition as sessionize; per group one lexsort and
     two shifted diffs (boundary mask where the user changes) — O(n log n)
     in the group, no per-user loop."""
 
@@ -520,19 +502,14 @@ def events_lag(sf_dir: str, user_buckets: int | None = None):
         )
 
     ds = _events(sf_dir, columns=["event_id", "ts", "user_id"])
-    ds = ds.map_batches(
-        _add_user_bucket,
-        fn_kwargs={"num_buckets": user_buckets or derived_user_buckets()},
-        batch_format="pyarrow",
-    )
-    return ds.groupby("bucket").map_groups(gaps, batch_format="pyarrow")
+    return co_partition(ds, gaps, key="user_id")
 
 
 # ------------------------------------------------------------- range join
 INCIDENT_S = 900  # each 'error' event opens a [s, s+INCIDENT_S] window
 
 
-def events_range_join(sf_dir: str, user_buckets: int | None = None):
+def events_range_join(sf_dir: str):
     """RANGE JOIN — the inequality-predicate join shape that completes
     the custom-operator triple next to ``events_asof`` (point lookup
     backward) and ``events_rolling`` (self frame): every event LEFT
@@ -542,7 +519,7 @@ def events_range_join(sf_dir: str, user_buckets: int | None = None):
     first_incident_s) with -1 when no window covers it.
 
     A distributed range join needs both sides co-located on the equi
-    part of the predicate (user) — the same user-bucket co-group as
+    part of the predicate (user) — the same user co-partition as
     asof/sessionize; the band part then resolves IN-GROUP with zero
     extra shuffle.  Per group it is the ``events_rolling`` fused-key
     scan probing a FILTERED build side: two np.searchsorted calls of
@@ -587,40 +564,11 @@ def events_range_join(sf_dir: str, user_buckets: int | None = None):
     ds = _events(
         sf_dir, columns=["event_id", "ts", "user_id", "event_type"]
     )
-    ds = ds.map_batches(
-        _add_user_bucket,
-        fn_kwargs={"num_buckets": user_buckets or derived_user_buckets()},
-        batch_format="pyarrow",
-    )
-    return ds.groupby("bucket").map_groups(join, batch_format="pyarrow")
+    return co_partition(ds, join, key="user_id")
 
 
 # --------------------------------------------------------- sessionization
-def derived_user_buckets(n_cpus: int | None = None) -> int:
-    """User-bucket count scaled to the session's cores.  A fixed constant
-    sizes one sessionize/asof group at events/K — at cluster scale that is
-    one multi-GB ``map_groups`` task; cores grow with the cluster, so
-    deriving from them tracks data size (>=4 groups per core keeps the
-    longest bucket short)."""
-    import ray
-
-    c = n_cpus or (
-        int(ray.cluster_resources().get("CPU", 4))
-        if ray.is_initialized()
-        else 4
-    )
-    return max(USER_BUCKETS, 4 * c)
-
-
-def _add_user_bucket(batch: pa.Table,
-                     num_buckets: int = USER_BUCKETS) -> pa.Table:
-    users = np.asarray(batch.column("user_id").to_pylist(), dtype=np.int64)
-    return batch.append_column(
-        "bucket", pa.array(users % num_buckets, pa.int64())
-    )
-
-
-def events_sessionize(sf_dir: str, user_buckets: int | None = None):
+def events_sessionize(sf_dir: str):
     """Per user: maximal event runs with inter-event gap <= 30 min.
     Output one row per session: (user_id, session_id = min event_id,
     n_events, duration_s)."""
@@ -656,12 +604,7 @@ def events_sessionize(sf_dir: str, user_buckets: int | None = None):
         )
 
     ds = _events(sf_dir, columns=["event_id", "ts", "user_id"])
-    ds = ds.map_batches(
-        _add_user_bucket,
-        fn_kwargs={"num_buckets": user_buckets or derived_user_buckets()},
-        batch_format="pyarrow",
-    )
-    return ds.groupby("bucket").map_groups(sessions, batch_format="pyarrow")
+    return co_partition(ds, sessions, key="user_id")
 
 
 # ----------------------------------------------------------- session paths
@@ -669,7 +612,7 @@ PATH_PREFIX_LEN = 8  # events per session contributing to its path
 PATH_K = 10  # top paths reported
 
 
-def events_paths(sf_dir: str, user_buckets: int | None = None,
+def events_paths(sf_dir: str,
                  k: int = PATH_K):
     """Top-``k`` most common session PATHS — the product-analytics path
     analysis next to funnels/retention: each session's first
@@ -678,8 +621,8 @@ def events_paths(sf_dir: str, user_buckets: int | None = None,
     The prefix cap bounds the key size (a pathological million-event
     session contributes a fixed-size key, not a megabyte string).
 
-    Shape: the ``events_sessionize`` user-bucket co-group emits one
-    COUNTER row per distinct path per bucket group (map-side combiner —
+    Shape: the ``events_sessionize`` user co-partition emits one
+    COUNTER row per distinct path per partition (map-side combiner —
     sessions never leave their group), then the ``vocab_topk``
     discipline finishes: bucketed vectorized Sum -> per-block partial
     top-k -> one tiny global sort.  Output: (path, n).
@@ -730,14 +673,7 @@ def events_paths(sf_dir: str, user_buckets: int | None = None,
         )
 
     ds = _events(sf_dir, columns=["event_id", "ts", "user_id", "event_type"])
-    ds = ds.map_batches(
-        _add_user_bucket,
-        fn_kwargs={"num_buckets": user_buckets or derived_user_buckets()},
-        batch_format="pyarrow",
-    )
-    per_group = ds.groupby("bucket").map_groups(
-        paths, batch_format="pyarrow"
-    )
+    per_group = co_partition(ds, paths, key="user_id")
     totals = bucketed_groupby(
         per_group, "path", ["n"], ["sum"]
     ).map_batches(block_topk, batch_format="pyarrow")
@@ -745,12 +681,12 @@ def events_paths(sf_dir: str, user_buckets: int | None = None,
 
 
 # -------------------------------------------------------------- as-of join
-def events_asof(sf_dir: str, user_buckets: int | None = None):
+def events_asof(sf_dir: str):
     """For every event: the most recent prior-or-equal '{ASOF_TYPE}' event
     of the same user (backward as-of join on (user_id, ts)).  Output
     (event_id, err_event_id nullable).
 
-    Implementation: co-locate each user's events in one bucket group,
+    Implementation: co-locate each user's events in one partition,
     sort by (ts, event_id), single forward scan carrying the latest
     matching event — the sort-merge form of ASOF JOIN."""
 
@@ -778,12 +714,7 @@ def events_asof(sf_dir: str, user_buckets: int | None = None):
         )
 
     ds = _events(sf_dir, columns=["event_id", "ts", "user_id", "event_type"])
-    ds = ds.map_batches(
-        _add_user_bucket,
-        fn_kwargs={"num_buckets": user_buckets or derived_user_buckets()},
-        batch_format="pyarrow",
-    )
-    return ds.groupby("bucket").map_groups(asof, batch_format="pyarrow")
+    return co_partition(ds, asof, key="user_id")
 
 
 # ------------------------------------------------- semi-structured props
@@ -821,22 +752,20 @@ def events_props(sf_dir: str):
 _K_BITS = 21
 
 
-def events_retention(sf_dir: str, user_buckets: int | None = None):
+def events_retention(sf_dir: str):
     """Cohort retention triangle: a user's COHORT is the hour window of
     their first event; for each hour offset ``k``, ``n_users`` counts the
     cohort's distinct users active in window ``cohort + k*WINDOW_S``.
 
     Shape: per-batch distinct-``(user, window)`` combiner (raw events
-    never shuffle — only deduped activity pairs), ONE user-bucket
-    co-group (all activity of a user meets in one group, the sessionize
+    never shuffle — only deduped activity pairs), ONE user
+    co-partition (all activity of a user meets in one group, the sessionize
     discipline, so first-window and distinct-window logic are exact and
     a user contributes to each ``(cohort, k)`` at most once GLOBALLY),
     then a tiny vectorized ``(cohort, k)`` Sum reduce
-    (stages/vecagg.py).  Per-bucket work is ``np.unique`` +
+    (stages/vecagg.py).  Per-partition work is ``np.unique`` +
     ``np.minimum.at`` flat passes — no per-user Python."""
     from ..stages.vecagg import bucketed_groupby
-
-    nb = user_buckets or derived_user_buckets()
 
     def distinct_pairs(batch: pa.Table) -> pa.Table:
         u = np.asarray(batch.column("user_id").to_pylist(), dtype=np.int64)
@@ -844,13 +773,12 @@ def events_retention(sf_dir: str, user_buckets: int | None = None):
         uw = np.unique(np.stack([u, w]), axis=1)
         return pa.table(
             {
-                "bucket": pa.array(uw[0] % nb, pa.int64()),
                 "user_id": pa.array(uw[0], pa.int64()),
                 "window_s": pa.array(uw[1], pa.int64()),
             }
         )
 
-    def per_bucket(group: pa.Table) -> pa.Table:
+    def per_user(group: pa.Table) -> pa.Table:
         u = np.asarray(group.column("user_id").to_pylist(), dtype=np.int64)
         w = np.asarray(group.column("window_s").to_pylist(), dtype=np.int64)
         # batch-level combiners may emit the same pair from many blocks
@@ -873,9 +801,7 @@ def events_retention(sf_dir: str, user_buckets: int | None = None):
     pairs = _events(sf_dir, columns=["ts", "user_id"]).map_batches(
         distinct_pairs, batch_format="pyarrow"
     )
-    partials = pairs.groupby("bucket").map_groups(
-        per_bucket, batch_format="pyarrow"
-    )
+    partials = co_partition(pairs, per_user, key="user_id")
     agg = bucketed_groupby(partials, "ck", ["n"], ["sum"],
                            out_names=["n_users"])
 
@@ -898,14 +824,14 @@ def events_retention(sf_dir: str, user_buckets: int | None = None):
 FUNNEL_STEPS = ("view", "click", "purchase")
 
 
-def events_funnel(sf_dir: str, user_buckets: int | None = None):
+def events_funnel(sf_dir: str):
     """Ordered conversion funnel over ``FUNNEL_STEPS``: per user,
     ``t1_us`` is the earliest 'view', ``t2_us`` the earliest 'click'
     STRICTLY after ``t1_us``, ``t3_us`` the earliest 'purchase' strictly
     after ``t2_us``; ``depth`` counts reached steps.  Every user with
     any event gets a row (missing steps are NULL).
 
-    Shape: the sessionize discipline — one user-bucket co-group so each
+    Shape: the sessionize discipline — one user co-partition so each
     user's events meet in one task, then a per-user sorted-array scan
     (``np.searchsorted`` per step over that user's per-type timestamp
     arrays; timestamps compare in exact int64 microseconds)."""
@@ -948,12 +874,7 @@ def events_funnel(sf_dir: str, user_buckets: int | None = None):
         )
 
     ds = _events(sf_dir, columns=["ts", "user_id", "event_type"])
-    ds = ds.map_batches(
-        _add_user_bucket,
-        fn_kwargs={"num_buckets": user_buckets or derived_user_buckets()},
-        batch_format="pyarrow",
-    )
-    return ds.groupby("bucket").map_groups(funnel, batch_format="pyarrow")
+    return co_partition(ds, funnel, key="user_id")
 
 
 def events_queries() -> dict:

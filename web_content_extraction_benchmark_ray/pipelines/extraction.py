@@ -26,11 +26,8 @@ import ray.data
 
 from ..sources.storage import read_spans, table_files
 from ..stages.extract import DEFAULT_MODELS, extract_batch
-from ..stages.reassemble import (
-    _default_partitions,
-    reassemble,
-    reassemble_salted,
-)
+from ..stages.reassemble import reassemble, reassemble_salted
+from ..stages.shuffle import partition_count
 from ..state.memo import memo
 
 
@@ -91,7 +88,7 @@ def _assemble(ds, spans_path, salted):
     # bytes, so partitions never exceed ~64 MiB regardless of cluster
     # shape
     nbytes = sum(os.path.getsize(f) for f in table_files(spans_path))
-    return reassemble(ds, partitions=_default_partitions(nbytes))
+    return reassemble(ds, partitions=partition_count(nbytes))
 
 
 def extraction_pipeline(

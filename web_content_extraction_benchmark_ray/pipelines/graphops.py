@@ -26,12 +26,18 @@ regardless of block order (the integer-exact discipline of
 Partitioning / 100-TB shape: per PageRank iteration only ``(dst,
 contrib)`` int64 index rows shuffle (16 bytes x OUT_DEG per doc); no
 text, no per-key Python (the reduce is ``stages/vecagg
-.bucketed_groupby`` — Python once per bucket, flat ``np.add.at``
+.bucketed_groupby`` — Python once per partition, flat ``np.add.at``
 interior).  K iterations = K light shuffles, the Pregel scatter-gather
 shape.  Triangle counting shuffles one undirected edge row per edge
 plus the bounded wedge set (out-degree is the constant ``OUT_DEG``, so
 a node's wedge fan-out is <= C(2*OUT_DEG, 2) — no hub explosion); the
-wedge/edge match is a bucketed co-group ``np.isin`` on fused keys.
+wedge/edge match is a co-partition ``np.isin`` on fused keys.  Every
+co-location is ``stages/shuffle.co_partition`` on the real key.
+
+Precondition: doc_ids are exactly 0..n-1 (n = documents row count),
+because link targets are derived as ``f(id) % n``.  PageRank and
+components check every target against the doc ids and raise a
+``ValueError`` naming this precondition.
 The driver touches only parquet metadata (row count) — no
 materialization at any scale.
 """
@@ -43,6 +49,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..sources.storage import read_table
+from ..stages.shuffle import co_partition
 from ..stages.vecagg import bucketed_groupby
 
 OUT_DEG = 8  # uniform out-degree of the synthetic link graph
@@ -74,6 +81,13 @@ def _edge_dsts(src: np.ndarray, n: int) -> np.ndarray:
     return np.where(t == src[:, None], (t + 1) % n, t)
 
 
+def _not_a_doc(op: str, target: int) -> ValueError:
+    return ValueError(
+        f"{op}: link target {target} is not a doc_id; the link graph "
+        "needs contiguous doc_ids 0..n-1 (n = documents row count)"
+    )
+
+
 # ----------------------------------------------------------------- pagerank
 def link_pagerank(sf_dir: str, iters: int = PR_ITERS):
     """PageRank over the synthetic link graph, fixed ``iters`` rounds of
@@ -81,7 +95,9 @@ def link_pagerank(sf_dir: str, iters: int = PR_ITERS):
     int64.  Output one row per doc: (node, rank_q).
 
     Every node emits a zero self-contribution row so in-degree-0 nodes
-    stay in the rank table (the SQL twin's LEFT JOIN + coalesce)."""
+    stay in the rank table (the SQL twin's LEFT JOIN + coalesce); that
+    row also marks the key as a document, so a link target with no
+    self row is not a doc_id and raises."""
     n = _n_docs(sf_dir)
     r0 = RANK_SCALE // n
     base = ((PR_DAMP_DEN - PR_DAMP_NUM) * r0) // PR_DAMP_DEN
@@ -103,14 +119,22 @@ def link_pagerank(sf_dir: str, iters: int = PR_ITERS):
         out_c = np.concatenate(
             [np.repeat(r // OUT_DEG, OUT_DEG), np.zeros(len(nodes), np.int64)]
         )
+        is_doc = np.concatenate(
+            [np.zeros(dst.size, np.int64), np.ones(len(nodes), np.int64)]
+        )
         return pa.table(
             {
                 "dst": pa.array(out_dst, pa.int64()),
                 "c": pa.array(out_c, pa.int64()),
+                "is_doc": pa.array(is_doc, pa.int64()),
             }
         )
 
     def apply_rank(batch: pa.Table) -> pa.Table:
+        is_doc = np.asarray(batch.column("is_doc").to_pylist(), np.int64)
+        if not is_doc.all():
+            dst = batch.column("dst").to_pylist()
+            raise _not_a_doc("link_pagerank", dst[int(np.argmin(is_doc))])
         inflow = np.asarray(batch.column("inflow").to_pylist(), np.int64)
         return pa.table(
             {
@@ -125,7 +149,8 @@ def link_pagerank(sf_dir: str, iters: int = PR_ITERS):
     for _ in range(iters):
         scattered = ranks.map_batches(scatter, batch_format="pyarrow")
         ranks = bucketed_groupby(
-            scattered, "dst", ["c"], ["sum"], out_names=["inflow"]
+            scattered, "dst", ["c", "is_doc"], ["sum", "max"],
+            out_names=["inflow", "is_doc"],
         ).map_batches(apply_rank, batch_format="pyarrow")
 
     def rename(batch: pa.Table) -> pa.Table:
@@ -135,20 +160,16 @@ def link_pagerank(sf_dir: str, iters: int = PR_ITERS):
 
 
 # ---------------------------------------------------------------- triangles
-# fused-key space for the wedge/edge co-group; node ids are < 2**20 at
-# every test scale, and at real scale the fuse would move to a pair hash
-_TRI_BUCKETS = 256
-
-
 def link_triangles(sf_dir: str):
     """Global triangle count of the UNDIRECTED synthetic link graph.
     Output a single row (n_triangles).
 
     Shape: directed edges -> (u, v) with u < v -> distinct (bucketed
     vectorized dedup) -> per-u wedge explode over the <= 2*OUT_DEG
-    higher neighbors -> wedge rows and edge rows co-grouped on a fused
-    (v, w) key, matched with one ``np.isin`` per bucket, partial counts
-    summed.  Wedge fan-out is degree-bounded so no hot key exists."""
+    higher neighbors -> wedge rows and edge rows co-partitioned on a
+    fused (v, w) key, matched with one ``np.isin`` per partition,
+    partial counts summed.  Wedge fan-out is degree-bounded so no hot
+    key exists."""
     n = _n_docs(sf_dir)
 
     def edges(batch: pa.Table) -> pa.Table:
@@ -205,20 +226,16 @@ def link_triangles(sf_dir: str):
             {
                 "key": pa.array(key, pa.int64()),
                 "kind": pa.array(np.concatenate(out_kind), pa.int64()),
-                "bucket2": pa.array(key % _TRI_BUCKETS, pa.int64()),
             }
         )
 
-    def bucket_u(batch: pa.Table) -> pa.Table:
+    def low_end(batch: pa.Table) -> pa.Table:
         uv = np.asarray(batch.column("uv").to_pylist(), np.int64)
-        return batch.append_column(
-            "ub", pa.array((uv // n) % _TRI_BUCKETS, pa.int64())
-        )
+        return batch.append_column("u", pa.array(uv // n, pa.int64()))
 
-    tagged = (
-        edge_ds.map_batches(bucket_u, batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(wedge_rows, batch_format="pyarrow")
+    tagged = co_partition(
+        edge_ds.map_batches(low_end, batch_format="pyarrow"), wedge_rows,
+        key="u",
     )
 
     def match(group: pa.Table) -> pa.Table:
@@ -229,9 +246,7 @@ def link_triangles(sf_dir: str):
             {"part": pa.array([int(hits.sum())], pa.int64())}
         )
 
-    parts = tagged.groupby("bucket2").map_groups(
-        match, batch_format="pyarrow"
-    )
+    parts = co_partition(tagged, match, key="key")
 
     def total(batch: pa.Table) -> pa.Table:
         s = int(
@@ -239,13 +254,12 @@ def link_triangles(sf_dir: str):
         )
         return pa.table({"n_triangles": pa.array([s], pa.int64())})
 
-    # final reduce: <= _TRI_BUCKETS partial rows -> one row
+    # final reduce: one partial row per partition -> one row
     return parts.repartition(1).map_batches(total, batch_format="pyarrow")
 
 
 # ------------------------------------------------------------- components
 CC_ITERS = 5  # fixed min-label propagation rounds (unrolled in the oracle)
-_CC_BUCKETS = 256
 
 
 def link_components(sf_dir: str, iters: int = CC_ITERS):
@@ -290,7 +304,6 @@ def link_components(sf_dir: str, iters: int = CC_ITERS):
         b = np.concatenate([nodes, np.repeat(nodes, OUT_DEG)])
         return pa.table(
             {
-                "bucket": pa.array(k % _CC_BUCKETS, pa.int64()),
                 "k": pa.array(k, pa.int64()),
                 "kind": pa.array(kind, pa.int64()),
                 "a": pa.array(a, pa.int64()),  # sender's label
@@ -312,11 +325,7 @@ def link_components(sf_dir: str, iters: int = CC_ITERS):
         hit = at < len(k0)
         hit[hit] = k0[at[hit]] == k1[hit]
         if not hit.all():
-            raise ValueError(
-                f"link_components: link target {int(k1[~hit][0])} is not a "
-                "doc_id; the link graph needs contiguous doc_ids 0..n-1 "
-                "(n = documents row count)"
-            )
+            raise _not_a_doc("link_components", int(k1[~hit][0]))
         lt = lab0[at]  # target's current label
         # (target keeps sender's label) + (sender gets target's label
         # back) + (every node keeps its own label)
@@ -331,9 +340,10 @@ def link_components(sf_dir: str, iters: int = CC_ITERS):
 
     labels = _doc_ids(sf_dir).map_batches(init, batch_format="pyarrow")
     for _ in range(iters):
-        msgs = labels.map_batches(
-            requests, batch_format="pyarrow"
-        ).groupby("bucket").map_groups(exchange, batch_format="pyarrow")
+        msgs = co_partition(
+            labels.map_batches(requests, batch_format="pyarrow"), exchange,
+            key="k",
+        )
         labels = bucketed_groupby(
             msgs, "node", ["lab"], ["min"], out_names=["label"]
         )

@@ -17,15 +17,15 @@ Scale notes per operator:
   (a per-doc Counter — no occurrence rows ever shuffle); document
   frequency is a bucketed vectorized Sum over the distinct (doc, term)
   rows; the df table joins back by term (both sides stream; no process
-  holds the vocabulary), and the per-doc top-k runs inside doc-bucket
-  groups.  Three all-to-alls, each over reduced rows.
+  holds the vocabulary), and the per-doc top-k runs inside a doc_id
+  co-partition.  Three all-to-alls, each over reduced rows.
 - ``line_dedup``: the CCNet/RefinedWeb paragraph-hash shape (Wenzek et
   al. 2020 dedup paragraphs by hash across shards) at non-overlapping
   ``LINE_W``-token chunks, on the augmented corpus view.  Dual path on
   the DUP-SET size (the ``dup_span_scrub`` discipline): broadcast the
   duplicated-hash set when small; else explode chunk occurrences, join
-  on the hash, and co-locate marks with their doc by ONE wide-bucket
-  sort so the corpus text crosses the wire exactly once.
+  on the hash, and co-locate marks with their doc by ONE doc_id
+  co-partition so the corpus text crosses the wire exactly once.
 - ``distinct_sketch``: HyperLogLog registers over corpus shingle
   hashes (Flajolet et al. 2007).  Each batch emits at most ``2**HLL_P``
   partial-register rows (the mergeable-sketch property: max commutes),
@@ -47,6 +47,7 @@ import ray
 from ..functions.hashing import hash60, shingles
 from ..functions.text import round6, tokenize_ws
 from ..functions.textstats import STOPWORDS, _PUNCT_RE
+from ..stages.shuffle import co_partition, partition_count
 from ..stages.vecagg import bucketed_groupby
 from ..state.memo import fetch
 from .dataops import (
@@ -168,7 +169,7 @@ def tfidf_topterms(sf_dir: str, k: int = TFIDF_TOPK,
       text) — no join, no per-doc shuffle (measured 6.0 -> ~1 s at
       sf0.1/32cpu vs the join form).
     - larger: hash join tf rows against the df table on term, then
-      per-doc top-k inside doc-bucket groups; no process ever holds
+      per-doc top-k inside a doc_id co-partition; no process ever holds
       the vocabulary."""
     if broadcast_max_types is None:
         broadcast_max_types = UNIGRAM_BROADCAST_MAX_TYPES
@@ -258,14 +259,6 @@ def tfidf_topterms(sf_dir: str, k: int = TFIDF_TOPK,
         on=("term",),
     )
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(
-            batch.column("doc_id").to_pylist(), dtype=np.int64
-        )
-        return batch.append_column(
-            "bucket", pa.array(ids % 256, pa.int64())
-        )
-
     def topk(group: pa.Table) -> pa.Table:
         import pandas as pd
 
@@ -300,11 +293,7 @@ def tfidf_topterms(sf_dir: str, k: int = TFIDF_TOPK,
             }
         )
 
-    return (
-        joined.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(topk, batch_format="pyarrow")
-    )
+    return co_partition(joined, topk, key="doc_id")
 
 
 # -------------------------------------------------------------- line_dedup
@@ -330,7 +319,7 @@ def line_dedup(sf_dir: str, broadcast_max_types: int | None = None):
     Dual path on the DUP-SET size (the dup_span_scrub discipline):
     broadcast the duplicated-hash set when small, else explode chunk
     occurrences, join on hash, and co-locate marks with their doc text
-    via one wide-bucket sort (text crosses the wire exactly once)."""
+    via one doc_id co-partition (text crosses the wire exactly once)."""
     if broadcast_max_types is None:
         broadcast_max_types = UNIGRAM_BROADCAST_MAX_TYPES
 
@@ -400,14 +389,9 @@ def line_dedup(sf_dir: str, broadcast_max_types: int | None = None):
         return _aug_docs(sf_dir).map_batches(scrub, batch_format="pyarrow")
 
     # ---- scale path: explode chunk occurrences, join, co-locate marks
-    # with the doc text by one wide-bucket sort (dup_span_scrub shape)
+    # with the doc text by one co-partition on doc_id (dup_span_scrub
+    # shape)
     import os
-
-    from ..stages.reassemble import (
-        _KNUTH,
-        WIDE_BUCKET_SPACE,
-        _default_partitions,
-    )
 
     def explode_idx(batch: pa.Table) -> pa.Table:
         ids_out, j_out, h_out = [], [], []
@@ -457,27 +441,12 @@ def line_dedup(sf_dir: str, broadcast_max_types: int | None = None):
         batch_format="pyarrow",
     )
 
-    def add_b(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(
-            batch.column("doc_id").to_pylist(), dtype=np.int64
-        ).astype(np.uint64)
-        bucket = (
-            ((ids * _KNUTH) & np.uint64(0xFFFFFFFF))
-            % np.uint64(WIDE_BUCKET_SPACE)
-        ).astype(np.int64)
-        return batch.append_column("bucket", pa.array(bucket, pa.int64()))
-
-    both = dup_marks.union(doc_rows).map_batches(
-        add_b, batch_format="pyarrow"
-    )
     try:
         input_bytes = 2 * os.path.getsize(
             os.path.join(sf_dir, "documents.parquet")
         )
     except OSError:
         input_bytes = None
-    p = _default_partitions(input_bytes)
-    bounds = [WIDE_BUCKET_SPACE * i // p for i in range(1, p)]
 
     def rewrite(part: pa.Table) -> pa.Table:
         if part.num_rows == 0:
@@ -500,9 +469,9 @@ def line_dedup(sf_dir: str, broadcast_max_types: int | None = None):
             lo = hi
         return finish_rows(out_i, out_c, out_d, out_h)
 
-    return both.sort("bucket", boundaries=bounds).map_batches(
-        rewrite, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True,
+    return co_partition(
+        dup_marks.union(doc_rows), rewrite, key="doc_id",
+        partitions=partition_count(input_bytes),
     )
 
 
@@ -546,7 +515,7 @@ def distinct_sketch(sf_dir: str):
 
     partials = _docs(sf_dir).map_batches(partial, batch_format="pyarrow")
     return bucketed_groupby(
-        partials, "register", ["max_rho"], ["max"], num_buckets=16
+        partials, "register", ["max_rho"], ["max"]
     )
 
 
@@ -776,7 +745,7 @@ def distinct_by_source(sf_dir: str):
 
     agg = bucketed_groupby(
         docs.map_batches(partial, batch_format="pyarrow"),
-        "key", ["max_rho"], ["max"], num_buckets=32,
+        "key", ["max_rho"], ["max"],
     )
 
     def split(batch: pa.Table) -> pa.Table:

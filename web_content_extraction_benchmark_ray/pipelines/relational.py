@@ -5,9 +5,9 @@ the two relational shapes the engine did not yet exercise:
   orderkey).  Every other join in the engine broadcasts a small side
   (truth sets, dup sets, posting dicts); here BOTH sides are fact-table
   sized, so neither may broadcast.  The distributed shape is the
-  classic co-partition join: both sides map to light join rows tagged
-  with ``bucket = key % B``, union, and ONE ``groupby(bucket)`` co-
-  locates matching keys; the probe resolves in-group with a sorted
+  classic co-partition join: both sides map to light join rows, union,
+  and ONE ``stages/shuffle.co_partition`` on the key co-locates matching
+  keys; the probe resolves per partition with a sorted
   ``np.searchsorted`` (vectorized hash-join equivalent).  The lineitem
   side pre-aggregates per orderkey inside each batch (map-side
   combiner), so the shuffle moves one 32-byte row per distinct key per
@@ -34,6 +34,7 @@ import pyarrow as pa
 import ray
 
 from ..sources.storage import capped_num_blocks, read_table
+from ..stages.shuffle import co_partition, session_cpus
 from ..stages.vecagg import bucketed_groupby
 from ..state.memo import fetch, memo
 
@@ -44,48 +45,30 @@ ROLLUP_ALL = "ALL"
 
 def _read(sf_dir: str, table: str, columns):
     path = os.path.join(sf_dir, f"{table}.parquet")
-    cpus = (
-        int(ray.cluster_resources().get("CPU", 4))
-        if ray.is_initialized()
-        else 4
-    )
     return read_table(
         path, columns=columns,
-        override_num_blocks=capped_num_blocks(path, 2 * cpus),
+        override_num_blocks=capped_num_blocks(path, 2 * session_cpus()),
     )
 
 
 # -------------------------------------------------------------- join_revenue
-def derived_join_buckets(n_cpus: int | None = None) -> int:
-    """Co-group bucket count scaled to the session's cores (the
-    sessionize ``derived_user_buckets`` rationale: buckets must grow
-    with the cluster so one group stays small at any table size)."""
-    c = n_cpus or (
-        int(ray.cluster_resources().get("CPU", 4))
-        if ray.is_initialized()
-        else 4
-    )
-    return max(64, 4 * c)
-
-
-def join_revenue(sf_dir: str, num_buckets: int | None = None):
+def join_revenue(sf_dir: str):
     """Revenue per order priority — ``lineitem JOIN orders ON
     orderkey`` then ``GROUP BY o_orderpriority``.  Output:
     (o_orderpriority, n_lines, revenue6) with revenue in exact int64
     micro-units.
 
-    Partitioning assumption: orderkeys of both sides meet in the
-    ``key % B`` bucket; orderkeys are unique on the orders side (the
-    build), so the in-group probe is one searchsorted per bucket."""
-    nb = num_buckets or derived_join_buckets()
+    Partitioning assumption: orderkeys of both sides meet in one
+    ``co_partition`` partition; orderkeys are unique on the orders side
+    (the build), so the probe is one searchsorted per partition."""
     return _orders_join_agg(
-        sf_dir, nb, "o_orderpriority",
+        sf_dir, "o_orderpriority",
         lambda batch: batch.column("o_orderpriority").to_pylist(),
         ["o_orderkey", "o_orderpriority"],
     )
 
 
-def _orders_join_agg(sf_dir: str, nb: int, label_name: str,
+def _orders_join_agg(sf_dir: str, label_name: str,
                      label_of, o_columns):
     """The co-group join core shared by ``join_revenue`` and
     ``revenue_by_region``: lineitem revenue rows join orders rows
@@ -107,7 +90,6 @@ def _orders_join_agg(sf_dir: str, nb: int, label_name: str,
         n = np.bincount(inv, minlength=len(uk)).astype(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(uk % nb, pa.int64()),
                 "orderkey": pa.array(uk, pa.int64()),
                 "side": pa.array(np.zeros(len(uk), np.int64), pa.int64()),
                 "prio": pa.array([""] * len(uk), pa.string()),
@@ -122,7 +104,6 @@ def _orders_join_agg(sf_dir: str, nb: int, label_name: str,
         prio = pa.array(label_of(batch), pa.string())
         return pa.table(
             {
-                "bucket": pa.array(k % nb, pa.int64()),
                 "orderkey": pa.array(k, pa.int64()),
                 "side": pa.array(z + 1, pa.int64()),
                 "prio": prio,
@@ -175,9 +156,7 @@ def _orders_join_agg(sf_dir: str, nb: int, label_name: str,
             }
         )
 
-    parts = li.union(orders).groupby("bucket").map_groups(
-        joined, batch_format="pyarrow"
-    )
+    parts = co_partition(li.union(orders), joined, key="orderkey")
     return bucketed_groupby(
         parts, "o_orderpriority", ["n_lines", "revenue6"], ["sum", "sum"],
         out_names=["n_lines", "revenue6"],
@@ -246,7 +225,7 @@ def _probe(keys: np.ndarray, probe: np.ndarray):
     return idx, keys[idx] == probe
 
 
-def revenue_by_region(sf_dir: str, num_buckets: int | None = None):
+def revenue_by_region(sf_dir: str):
     """TPC-H Q5-flavoured snowflake: revenue per REGION — lineitem ⋈
     orders resolves with the big×big co-group (``join_revenue``'s
     core); orders → customer → nation → region resolves with ONE
@@ -254,7 +233,6 @@ def revenue_by_region(sf_dir: str, num_buckets: int | None = None):
     once per worker process).  The two join strategies compose in one
     pipeline: the band that must shuffle shuffles once, the dimensions
     never do.  Output: (region, n_lines, revenue6)."""
-    nb = num_buckets or derived_join_buckets()
     ref = ray.put(_custkey_region(sf_dir))
 
     def label_of(batch: pa.Table, ref=ref):
@@ -266,7 +244,7 @@ def revenue_by_region(sf_dir: str, num_buckets: int | None = None):
         return np.where(ck_sorted[idx] == ck, region[idx], None).tolist()
 
     return _orders_join_agg(
-        sf_dir, nb, "region", label_of, ["o_orderkey", "o_custkey"]
+        sf_dir, "region", label_of, ["o_orderkey", "o_custkey"]
     )
 
 
@@ -279,7 +257,7 @@ _STALE_US = (
 )
 
 
-def parts_stale(sf_dir: str, num_buckets: int | None = None):
+def parts_stale(sf_dir: str):
     """Distributed ANTI JOIN — the NOT EXISTS shape: parts with NO
     lineitem shipped on/after ``STALE_CUTOFF`` (most parts DO have one,
     so the filter genuinely prunes).  Output: (p_partkey,).
@@ -287,10 +265,9 @@ def parts_stale(sf_dir: str, num_buckets: int | None = None):
     Same co-partition discipline as ``join_revenue``: the lineitem side
     reduces to DISTINCT live partkeys per batch (combiner — the anti
     probe needs existence only, so at most one row per key per block
-    shuffles), part keys meet them in the ``key % B`` bucket, and each
-    group emits its unmatched part keys via one sorted-membership
-    searchsorted."""
-    nb = num_buckets or derived_join_buckets()
+    shuffles), part keys meet them in one ``co_partition`` partition, and
+    each partition emits its unmatched part keys via one
+    sorted-membership searchsorted."""
 
     def live_rows(batch: pa.Table) -> pa.Table:
         k = np.asarray(batch.column("l_partkey").to_pylist(), np.int64)
@@ -303,7 +280,6 @@ def parts_stale(sf_dir: str, num_buckets: int | None = None):
         uk = np.unique(k[ship >= _STALE_US])
         return pa.table(
             {
-                "bucket": pa.array(uk % nb, pa.int64()),
                 "key": pa.array(uk, pa.int64()),
                 "side": pa.array(np.zeros(len(uk), np.int64), pa.int64()),
             }
@@ -313,7 +289,6 @@ def parts_stale(sf_dir: str, num_buckets: int | None = None):
         k = np.asarray(batch.column("p_partkey").to_pylist(), np.int64)
         return pa.table(
             {
-                "bucket": pa.array(k % nb, pa.int64()),
                 "key": pa.array(k, pa.int64()),
                 "side": pa.array(np.ones(len(k), np.int64), pa.int64()),
             }
@@ -337,9 +312,7 @@ def parts_stale(sf_dir: str, num_buckets: int | None = None):
             pk = pk[lk[idx] != pk]
         return pa.table({"p_partkey": pa.array(np.sort(pk), pa.int64())})
 
-    return live.union(parts).groupby("bucket").map_groups(
-        anti, batch_format="pyarrow"
-    )
+    return co_partition(live.union(parts), anti, key="key")
 
 
 # --------------------------------------------------------------- docs_rollup

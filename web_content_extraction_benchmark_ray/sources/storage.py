@@ -109,16 +109,12 @@ def read_spans(uri: str, columns=None, num_blocks: int | None = None):
     keep every CPU busy.  The ask is capped at the table's row-group
     count so no zero-row block is ever created.  The pipeline's reads and
     the skew census both come through here, so they share one rule."""
-    import ray
     import ray.data
 
+    from ..stages.shuffle import session_cpus
+
     if not num_blocks:
-        cpus = (
-            int(ray.cluster_resources().get("CPU", 4))
-            if ray.is_initialized()
-            else 4
-        )
-        num_blocks = 2 * cpus
+        num_blocks = 2 * session_cpus()
     return ray.data.read_parquet(
         uri,
         columns=columns,

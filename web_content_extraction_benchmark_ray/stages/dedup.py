@@ -4,7 +4,7 @@ All stages are shuffle-conscious Ray Data compositions:
 
 - exact:    hash-partition by content hash -> bucketed vectorized Min
             (the reference's dict-keyed dedup, extract.py:52-53, made
-            distributed: the bucket groupby IS the hash partition).
+            distributed: the co-partition IS the hash partition).
 - minhash:  signature map -> band flat-map (each band row CARRIES the full
             signature so bucket-local verification needs no broadcast and
             no second join) -> bucketed candidate generation -> native
@@ -21,9 +21,12 @@ All stages are shuffle-conscious Ray Data compositions:
 Tiny-group discipline: a ``map_groups`` fires one Python call PER GROUP,
 so grouping by a high-cardinality key (every shingle / band key / pair)
 is a per-row-Python trap — measured 9.5 s where ~2 s of work exists.  All
-high-cardinality groupbys here either (a) pre-bucket into ~PAIR_BUCKETS
-coarse groups and process each bucket's sub-groups in one call, or (b)
-use NATIVE aggregates (Min/Max/Count) that reduce C-side.
+high-cardinality co-locations here either (a) go through
+``stages/shuffle.co_partition``: rows carry ``wide_bucket`` of their
+real key (band key hash, shingle, pair, node id), one balanced sort cuts
+them into ~2 partitions per CPU, and ONE call per partition keys its
+posting maps / reductions by the real key; or (b) use NATIVE aggregates
+(Min/Max/Count) that reduce C-side.
 """
 from __future__ import annotations
 
@@ -48,6 +51,7 @@ from ..functions.hashing import (
     simhash60,
 )
 from ..state.memo import fetch
+from .shuffle import WIDE_SPACE, co_partition, wide_bucket
 
 MINHASH_THRESHOLD = 0.5  # est. Jaccard at/above which a pair is a near-dup
 SIMHASH_BAND_BITS = 12
@@ -55,22 +59,6 @@ SIMHASH_NUM_BANDS = 5
 SIMHASH_MAX_HAMMING = SIMHASH_NUM_BANDS - 1  # pigeonhole-exact
 JACCARD_THRESHOLD = 0.5
 MAX_DF = 10_000  # df cut for pathological shingles (skew guard at scale)
-PAIR_BUCKETS = 256  # small-scale default for the coarse candidate buckets
-
-
-def derived_pair_buckets(n_cpus: int | None = None) -> int:
-    """Coarse-bucket count scaled to the session's cores (>=8 groups per
-    core keeps stragglers short).  A fixed constant sizes one bucket at
-    data_size/K — at cluster scale that is a single multi-GB group; cores
-    grow with the cluster, so deriving from them tracks data size."""
-    import ray
-
-    c = n_cpus or (
-        int(ray.cluster_resources().get("CPU", 4))
-        if ray.is_initialized()
-        else 4
-    )
-    return max(PAIR_BUCKETS, 8 * c)
 
 
 # ---------------------------------------------------------------------- exact
@@ -128,15 +116,14 @@ def dedup_exact_norm(ds):
 
 
 # -------------------------------------------------------------------- minhash
-def minhash_band_rows(batch: pa.Table,
-                      num_buckets: int = PAIR_BUCKETS) -> pa.Table:
+def minhash_band_rows(batch: pa.Table) -> pa.Table:
     """(doc_id, text) -> one row per (doc, band): band key + full signature
-    + the coarse candidate bucket (md5-prefix of the band key).
+    + the candidate bucket, ``wide_bucket`` of the band key's md5 prefix.
 
-    Bucket entropy: 8 hex chars (32 bits) feed the modulus so the bucket
-    fills ANY space up to 2^32 — a 4-char prefix only spans [0, 65535],
-    which under ``_bucket_sorted``'s uniform boundaries over 2^20 packed
-    every row into partition 0 (one giant block, zero sort parallelism).
+    Bucket entropy: 8 hex chars (32 bits) feed the hash — a 4-char
+    prefix only spans [0, 65535], which under co_partition's uniform
+    boundaries over 2^20 once packed every row into partition 0 (one
+    giant block, zero sort parallelism).
 
     The per-doc signature/band-key md5s are inherently Python; the band
     EXPLODE is numpy repeat/tile + one ListArray build (the former nested
@@ -159,9 +146,9 @@ def minhash_band_rows(batch: pa.Table,
     for r, text in enumerate(texts):
         sig_mat[r] = minhash_signature(text)
         keys.extend(band_keys(sig_mat[r]))
-    buckets = np.fromiter(
+    buckets = wide_bucket(np.fromiter(
         (int(k[:8], 16) for k in keys), dtype=np.int64, count=len(keys)
-    ) % num_buckets
+    ))
     # each doc's 16-value signature repeated once per band, flattened into
     # a single values buffer + uniform offsets
     sig_vals = np.repeat(sig_mat, MINHASH_BANDS, axis=0).ravel()
@@ -175,7 +162,7 @@ def minhash_band_rows(batch: pa.Table,
                 np.tile(np.arange(MINHASH_BANDS, dtype=np.int32), n)
             ),
             "band_key": pa.array(keys, pa.string()),
-            "bucket": pa.array(buckets.astype(np.int32)),
+            "bucket": pa.array(buckets),
             "doc_id": pa.array(
                 np.repeat(np.asarray(ids, dtype=np.int64), MINHASH_BANDS)
             ),
@@ -237,7 +224,7 @@ def _cap_posting(posting: dict, what: str) -> dict:
 
 
 def minhash_bucket_pairs(group: pa.Table) -> pa.Table:
-    """One coarse bucket: group its rows by (band_id, band_key) in one
+    """One co-partition: group its rows by (band_id, band_key) in one
     call, emit verified pairs (est_j >= threshold).  Posting lists over
     ``LSH_POSTING_CAP`` are dropped with a logged count."""
     bands = group.column("band_id").to_pylist()
@@ -299,51 +286,17 @@ def _distinct_pairs(pairs, value_col: str, out_type=pa.float64()):
     return agg.map_batches(project, batch_format="pyarrow")
 
 
-WIDE_PAIR_SPACE = 1 << 20
-
-
-def _bucket_sorted(rows, partitions: int | None = None,
-                   column: str = "bucket"):
-    """Balanced locality shuffle for pair-candidate rows: sort on the
-    wide-space bucket with EXPLICIT uniform boundaries (sampled range
-    boundaries over a small discrete bucket space skew partition rows
-    ~3x — same lesson as the reassembly sort, stages/reassemble.py).
-    Consumers run once per partition via map_batches(batch_size=None);
-    they key their posting maps by (band, key), so multi-bucket
-    partitions are semantically identical to per-bucket groups."""
-    import ray
-
-    c = (
-        int(ray.cluster_resources().get("CPU", 4))
-        if ray.is_initialized()
-        else 4
-    )
-    part = partitions or 2 * c
-    bounds = [WIDE_PAIR_SPACE * i // part for i in range(1, part)]
-    return rows.sort(column, boundaries=bounds)
-
-
-def dedup_minhash_pairs(ds, pair_buckets: int | None = None,
-                        band_rows=None):
+def dedup_minhash_pairs(ds, band_rows=None):
     """Dataset(doc_id, text) -> Dataset(doc_id_a, doc_id_b, est_jaccard).
 
     ``band_rows`` short-circuits the signature pass with a precomputed
-    (typically memoized) wide-space band-row dataset — the signature
-    Python loop dominates the family's cost, and pairs / survivors /
-    cluster-size consumers all start from the same rows."""
-    assert band_rows is None or pair_buckets is None, (
-        "band_rows fixes the bucket space at build time; "
-        "pair_buckets would silently no-op"
-    )
-    pb = pair_buckets or WIDE_PAIR_SPACE
+    (typically memoized) band-row dataset — the signature Python loop
+    dominates the family's cost, and pairs / survivors / cluster-size
+    consumers all start from the same rows."""
     rows = band_rows if band_rows is not None else ds.map_batches(
-        minhash_band_rows, fn_kwargs={"num_buckets": pb},
-        batch_format="pyarrow",
+        minhash_band_rows, batch_format="pyarrow"
     )
-    pairs = _bucket_sorted(rows).map_batches(
-        minhash_bucket_pairs, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True,
-    )
+    pairs = co_partition(rows, minhash_bucket_pairs)
     return _distinct_pairs(pairs, "est_jaccard")
 
 
@@ -360,8 +313,7 @@ def simhash_rows(batch: pa.Table) -> pa.Table:
     )
 
 
-def simhash_band_rows(batch: pa.Table,
-                      num_buckets: int = PAIR_BUCKETS) -> pa.Table:
+def simhash_band_rows(batch: pa.Table) -> pa.Table:
     """Pure bit arithmetic -> fully vectorized explode (numpy repeat/tile;
     the former per-(doc, band) Python loop was pure interpreter overhead)."""
     ids = num_col(batch.column("doc_id"), np.int64)
@@ -370,14 +322,13 @@ def simhash_band_rows(batch: pa.Table,
     j = np.tile(np.arange(SIMHASH_NUM_BANDS, dtype=np.int64), n)
     vv = np.repeat(v, SIMHASH_NUM_BANDS)
     bv = (vv >> (SIMHASH_BAND_BITS * j)) & ((1 << SIMHASH_BAND_BITS) - 1)
-    # multiplicative spread: (band, val) spans only [0, 20479], far below
-    # WIDE_PAIR_SPACE — an odd multiplier bijects Z_2^k so the bucket fills
-    # the whole sort space (degenerate-partition fix).  Products stay under
-    # 2^46, so int64 arithmetic matches arbitrary-precision Python exactly.
-    bucket = ((j * (1 << SIMHASH_BAND_BITS) + bv) * 2654435761) % num_buckets
+    # (band, val) spans only [0, 20479]; wide_bucket's multiplicative
+    # hash spreads it over the whole sort space (a plain value would put
+    # every row in partition 0)
+    bucket = wide_bucket(j * (1 << SIMHASH_BAND_BITS) + bv)
     return pa.table(
         {
-            "bucket": pa.array(bucket.astype(np.int32)),
+            "bucket": pa.array(bucket),
             "band_id": pa.array(j.astype(np.int32)),
             "band_val": pa.array(bv),
             "doc_id": pa.array(np.repeat(ids, SIMHASH_NUM_BANDS)),
@@ -430,28 +381,19 @@ def dedup_simhash(ds, sig_rows=None):
     return sigs.drop_columns(["sim_v"])
 
 
-def dedup_simhash_pairs(ds, pair_buckets: int | None = None,
-                        sig_rows=None):
+def dedup_simhash_pairs(ds, sig_rows=None):
     """Dataset(doc_id, text) -> (doc_id_a, doc_id_b, hamming) pairs with
     hamming <= 4 — exact under the 5-band pigeonhole decomposition."""
     sigs = sig_rows if sig_rows is not None else ds.map_batches(
         simhash_rows, batch_format="pyarrow"
     )
-    rows = sigs.map_batches(
-        simhash_band_rows,
-        fn_kwargs={"num_buckets": pair_buckets or WIDE_PAIR_SPACE},
-        batch_format="pyarrow",
-    )
-    pairs = _bucket_sorted(rows).map_batches(
-        simhash_bucket_pairs, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True,
-    )
+    rows = sigs.map_batches(simhash_band_rows, batch_format="pyarrow")
+    pairs = co_partition(rows, simhash_bucket_pairs)
     return _distinct_pairs(pairs, "hamming", pa.int64())
 
 
 # -------------------------------------------------------- exact n-gram jaccard
-def shingle_rows(batch: pa.Table,
-                 num_buckets: int = PAIR_BUCKETS) -> pa.Table:
+def shingle_rows(batch: pa.Table) -> pa.Table:
     """Explode distinct shingle hashes, carrying the doc's shingle count so
     downstream needs no join back to per-doc totals."""
     ids = batch.column("doc_id").to_pylist()
@@ -470,15 +412,14 @@ def shingle_rows(batch: pa.Table,
     return pa.table(
         {
             "sh": pa.array(sh),
-            "bucket": pa.array((sh % num_buckets).astype(np.int32)),
+            "bucket": pa.array(wide_bucket(sh)),
             "doc_id": pa.array(did),
             "n_sh": pa.array(np.repeat(counts, counts)),
         }
     )
 
 
-def prefix_rows(batch: pa.Table,
-                num_buckets: int = PAIR_BUCKETS) -> pa.Table:
+def prefix_rows(batch: pa.Table) -> pa.Table:
     """Prefix-filter explode (PPJoin-style): only the first
     ``n - ceil(t*n) + 1`` shingles (ascending-hash canonical order) index a
     document; any pair with Jaccard >= t MUST share a prefix shingle, so
@@ -522,18 +463,25 @@ def prefix_rows(batch: pa.Table,
     return pa.table(
         {
             "sh": pa.array(sh),
-            "bucket": pa.array((sh % num_buckets).astype(np.int32)),
+            "bucket": pa.array(wide_bucket(sh)),
             "doc_id": pa.array(did),
             "shingles": shingle_col,
         }
     )
 
 
-def prefix_bucket_pairs(group: pa.Table,
-                        num_buckets: int = PAIR_BUCKETS) -> pa.Table:
-    """One coarse bucket of the prefix index: verify candidates exactly
+def _pair_bucket(a, b) -> pa.Array:
+    """Routing bucket of the (doc_id_a, doc_id_b) pair, for the
+    downstream per-pair co-partition."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    return pa.array(wide_bucket(a ^ (b * np.int64(1315423911))))
+
+
+def prefix_bucket_pairs(group: pa.Table) -> pa.Table:
+    """One partition of the prefix index: verify candidates exactly
     via sorted-array intersection; emit (pair, jaccard) rows (duplicates
-    across buckets removed by the downstream pair-bucket reduce)."""
+    across posting lists removed by the downstream per-pair reduce)."""
     posting: dict = {}
     for sh, d, arr in zip(
         group.column("sh").to_pylist(),
@@ -542,7 +490,7 @@ def prefix_bucket_pairs(group: pa.Table,
     ):
         posting.setdefault(sh, []).append((d, arr))
     seen = set()
-    a_out, b_out, j_out, pb_out = [], [], [], []
+    a_out, b_out, j_out = [], [], []
     for docs in posting.values():
         if len(docs) < 2 or len(docs) > MAX_DF:
             continue
@@ -564,20 +512,19 @@ def prefix_bucket_pairs(group: pa.Table,
                     a_out.append(di)
                     b_out.append(dj)
                     j_out.append(round6(jac))
-                    pb_out.append((di ^ (dj * 1315423911)) % num_buckets)
     return pa.table(
         {
             "doc_id_a": pa.array(a_out, pa.int64()),
             "doc_id_b": pa.array(b_out, pa.int64()),
             "jaccard": pa.array(j_out, pa.float64()),
-            "pbucket": pa.array(pb_out, pa.int32()),
+            "bucket": _pair_bucket(a_out, b_out),
         }
     )
 
 
 def _distinct_first(group: pa.Table) -> pa.Table:
-    """Per pair-bucket: one row per (a, b) (the jaccard value is identical
-    on every duplicate)."""
+    """Per pair partition: one row per (a, b) (the jaccard value is
+    identical on every duplicate)."""
     seen = set()
     keep = []
     for idx, (a, b) in enumerate(
@@ -597,28 +544,18 @@ def _distinct_first(group: pa.Table) -> pa.Table:
     )
 
 
-def dedup_ngram_jaccard_prefix(ds, pair_buckets: int | None = None):
+def dedup_ngram_jaccard_prefix(ds):
     """Prefix-filtered exact Jaccard join — same output as
     dedup_ngram_jaccard (lossless filter at the threshold), ~2x smaller
     inverted index and no O(co-occurrence) pair-row shuffle: verification
-    happens in-bucket against the carried shingle arrays."""
-    pb = pair_buckets or WIDE_PAIR_SPACE
-    rows = ds.map_batches(
-        prefix_rows, fn_kwargs={"num_buckets": pb}, batch_format="pyarrow"
-    )
-    pairs = _bucket_sorted(rows).map_batches(
-        lambda g: prefix_bucket_pairs(g, pb), batch_format="pyarrow",
-        batch_size=None, zero_copy_batch=True,
-    )
-    return _bucket_sorted(pairs, column="pbucket").map_batches(
-        _distinct_first, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True,
-    )
+    happens per partition against the carried shingle arrays."""
+    rows = ds.map_batches(prefix_rows, batch_format="pyarrow")
+    pairs = co_partition(rows, prefix_bucket_pairs)
+    return co_partition(pairs, _distinct_first)
 
 
-def jaccard_bucket_pairs(group: pa.Table,
-                         num_buckets: int = PAIR_BUCKETS) -> pa.Table:
-    """One coarse bucket of the inverted index: co-occurring doc pairs for
+def jaccard_bucket_pairs(group: pa.Table) -> pa.Table:
+    """One partition of the inverted index: co-occurring doc pairs for
     every posting list inside it (lists above MAX_DF dropped — df cut)."""
     posting: dict = {}
     for sh, d, n in zip(
@@ -627,7 +564,7 @@ def jaccard_bucket_pairs(group: pa.Table,
         group.column("n_sh").to_pylist(),
     ):
         posting.setdefault(sh, []).append((d, n))
-    a_out, b_out, na_out, nb_out, pb_out = [], [], [], [], []
+    a_out, b_out, na_out, nb_out = [], [], [], []
     for docs in posting.values():
         if len(docs) < 2 or len(docs) > MAX_DF:
             continue
@@ -639,23 +576,22 @@ def jaccard_bucket_pairs(group: pa.Table,
                 b_out.append(b)
                 na_out.append(docs[i][1])
                 nb_out.append(docs[j][1])
-                pb_out.append((a ^ (b * 1315423911)) % num_buckets)
     return pa.table(
         {
             "doc_id_a": pa.array(a_out, pa.int64()),
             "doc_id_b": pa.array(b_out, pa.int64()),
             "n_a": pa.array(na_out, pa.int64()),
             "n_b": pa.array(nb_out, pa.int64()),
-            "pbucket": pa.array(pb_out, pa.int32()),
+            "bucket": _pair_bucket(a_out, b_out),
         }
     )
 
 
 def jaccard_pair_reduce(group: pa.Table) -> pa.Table:
-    """One pair-bucket: count co-occurrences per (a, b) in a single dict
-    pass, then vectorized jaccard + threshold.  A native multi-key
+    """One pair partition: count co-occurrences per (a, b) (vectorized
+    sort + run-length), then jaccard + threshold.  A native multi-key
     aggregate here hit millions of groups (22.9 s for ~2 s of work);
-    the coarse-bucket reduce is the same tiny-group discipline as the
+    the per-partition reduce is the same tiny-group discipline as the
     candidate stage."""
     a_arr = num_col(group.column("doc_id_a"), np.int64)
     b_arr = num_col(group.column("doc_id_b"), np.int64)
@@ -691,94 +627,61 @@ def jaccard_pair_reduce(group: pa.Table) -> pa.Table:
     )
 
 
-def dedup_ngram_jaccard(ds, pair_buckets: int | None = None):
+def dedup_ngram_jaccard(ds):
     """Dataset(doc_id, text) -> (doc_id_a, doc_id_b, jaccard >= 0.5) exact
     word-3-gram Jaccard via the inverted-index join.  Both shuffles are
-    coarse-bucket groupbys; all per-row work is numpy-vectorized."""
-    pb = pair_buckets or WIDE_PAIR_SPACE
-    rows = ds.map_batches(
-        shingle_rows, fn_kwargs={"num_buckets": pb}, batch_format="pyarrow"
-    )
-    # both shuffles balanced via wide-space sort + uniform boundaries;
-    # the reducers key by shingle / pair internally, so multi-bucket
-    # partitions are semantically identical to per-bucket groups
-    co = _bucket_sorted(rows).map_batches(
-        lambda g: jaccard_bucket_pairs(g, pb), batch_format="pyarrow",
-        batch_size=None, zero_copy_batch=True,
-    )
-    return _bucket_sorted(co, column="pbucket").map_batches(
-        jaccard_pair_reduce, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True,
-    )
+    co-partitions (by shingle, then by pair) whose reducers key by
+    shingle / pair internally; all per-row work is numpy-vectorized."""
+    rows = ds.map_batches(shingle_rows, batch_format="pyarrow")
+    co = co_partition(rows, jaccard_bucket_pairs)
+    return co_partition(co, jaccard_pair_reduce)
 
 
 # --------------------------------------------- near-dup survivor selection
-def cc_bucket_labels(pairs_ds, num_buckets: int | None = None,
-                     max_iters: int = 25):
+def cc_bucket_labels(pairs_ds, max_iters: int = 25):
     """Connected components of the near-dup graph, distributed.
 
-    (doc_id_a, doc_id_b) pairs -> the bucketed LABEL table: one row
-    (bucket, key=node, kind=0, val=component min-label) per node that
-    appears in any pair, or ``None`` when the pair set is empty.
+    (doc_id_a, doc_id_b) pairs -> the LABEL table: one row (key=node,
+    kind=0, val=component min-label) per node that appears in any pair,
+    or ``None`` when the pair set is empty.
 
     Min-label propagation expressed as CO-GROUP message passing (no join
     operator): each round unions the label table with the edge table
-    keyed by source node, a bucketed groupby delivers every node's label
-    to its neighbours, and a second bucketed groupby takes the per-node
-    min.  (Dataset.join was avoided deliberately: Ray 2.49's hash join
+    keyed by source node, a co-partition on the node delivers every
+    node's label to its neighbours, and a second co-partition takes the
+    per-node min.  (Dataset.join was avoided deliberately: Ray 2.49's hash join
     errors when one materialized dataset feeds two joins across loop
     iterations.)  Rounds needed = component diameter; convergence is the
     fixpoint of the strictly-decreasing global label sum.
 
     Consumers: neardup_survivors (canonical-per-component anti-join) and
     dataops.dup_cluster_sizes (component-size histogram)."""
-    if num_buckets is None:
-        num_buckets = derived_pair_buckets()
 
     def both_dirs(batch: pa.Table) -> pa.Table:
         a = batch.column("doc_id_a").to_pylist()
         b = batch.column("doc_id_b").to_pylist()
         src = a + b
         dst = b + a
-        return pa.table(
-            {
-                "bucket": pa.array(
-                    [x % num_buckets for x in src], pa.int32()
-                ),
-                "key": pa.array(src, pa.int64()),
-                "kind": pa.array([1] * len(src), pa.int32()),
-                "val": pa.array(dst, pa.int64()),
-            }
-        )
+        return _label_rows(src, 1, dst)
 
     edges = pairs_ds.map_batches(both_dirs, batch_format="pyarrow").materialize()
     if edges.count() == 0:
         return None
 
     def init_labels(group: pa.Table) -> pa.Table:
-        # label(node) = min(node, min direct neighbour) within this bucket
+        # label(node) = min(node, min direct neighbour)
         lab: dict = {}
         for k, v in zip(
             group.column("key").to_pylist(), group.column("val").to_pylist()
         ):
             lab[k] = min(lab.get(k, k), v, k)
-        return pa.table(
-            {
-                "bucket": pa.array(
-                    [k % num_buckets for k in lab], pa.int32()
-                ),
-                "key": pa.array(list(lab.keys()), pa.int64()),
-                "kind": pa.array([0] * len(lab), pa.int32()),
-                "val": pa.array(list(lab.values()), pa.int64()),
-            }
-        )
+        return _label_rows(list(lab.keys()), 0, list(lab.values()))
 
-    labels = edges.groupby("bucket").map_groups(
-        init_labels, batch_format="pyarrow"
-    ).materialize()
+    labels = co_partition(edges, init_labels, key="key").materialize()
 
     def propagate(group: pa.Table) -> pa.Table:
-        """One bucket: deliver label(src) to every neighbour + keep own."""
+        """One partition: deliver label(src) to every neighbour + keep
+        own."""
         lab: dict = {}
         nbrs: dict = {}
         for k, kind, v in zip(
@@ -797,16 +700,7 @@ def cc_bucket_labels(pairs_ds, num_buckets: int | None = None,
             for d in nbrs.get(k, ()):
                 out_k.append(d)
                 out_v.append(l)
-        return pa.table(
-            {
-                "bucket": pa.array(
-                    [k % num_buckets for k in out_k], pa.int32()
-                ),
-                "key": pa.array(out_k, pa.int64()),
-                "kind": pa.array([0] * len(out_k), pa.int32()),
-                "val": pa.array(out_v, pa.int64()),
-            }
-        )
+        return _label_rows(out_k, 0, out_v)
 
     def reduce_min(group: pa.Table) -> pa.Table:
         lab: dict = {}
@@ -814,25 +708,12 @@ def cc_bucket_labels(pairs_ds, num_buckets: int | None = None,
             group.column("key").to_pylist(), group.column("val").to_pylist()
         ):
             lab[k] = min(lab.get(k, v), v)
-        return pa.table(
-            {
-                "bucket": pa.array(
-                    [k % num_buckets for k in lab], pa.int32()
-                ),
-                "key": pa.array(list(lab.keys()), pa.int64()),
-                "kind": pa.array([0] * len(lab), pa.int32()),
-                "val": pa.array(list(lab.values()), pa.int64()),
-            }
-        )
+        return _label_rows(list(lab.keys()), 0, list(lab.values()))
 
     prev_sum = None
     for _ in range(max_iters):
-        messages = labels.union(edges).groupby("bucket").map_groups(
-            propagate, batch_format="pyarrow"
-        )
-        labels = messages.groupby("bucket").map_groups(
-            reduce_min, batch_format="pyarrow"
-        ).materialize()
+        messages = co_partition(labels.union(edges), propagate, key="key")
+        labels = co_partition(messages, reduce_min, key="key").materialize()
         cur_sum = labels.sum("val")
         if cur_sum == prev_sum:
             break
@@ -851,60 +732,60 @@ def cc_bucket_labels(pairs_ds, num_buckets: int | None = None,
     return labels
 
 
-def neardup_survivors(docs_ds, pairs_ds, num_buckets: int | None = None,
-                      max_iters: int = 25):
+def _label_rows(keys, kind: int, vals) -> pa.Table:
+    """(key, kind, val) co-group rows: kind 0 = label / tombstone, 1 =
+    edge, 2 = document (the cc_bucket_labels and anti-join shapes)."""
+    return pa.table(
+        {
+            "key": pa.array(keys, pa.int64()),
+            "kind": pa.array([kind] * len(keys), pa.int32()),
+            "val": pa.array(vals, pa.int64()),
+        }
+    )
+
+
+def neardup_survivors(docs_ds, pairs_ds, max_iters: int = 25):
     """(documents, near-dup pairs) -> surviving doc_ids: one canonical
     (min doc_id) per connected component of the near-dup graph
     (cc_bucket_labels), plus every unpaired doc — the final step of a
     real dedup pipeline.
 
     The survivor filter is an ANTI-JOIN expressed as a keyed co-group
-    (docs ∪ non-canonical labels, bucketed groupby): no id set ever
-    materializes on the driver, so the stage holds even when almost
+    (docs ∪ non-canonical labels, co-partitioned on the id): no id set
+    ever materializes on the driver, so the stage holds even when almost
     every document is a duplicate.
     """
-    if num_buckets is None:
-        num_buckets = derived_pair_buckets()
-
-    labels = cc_bucket_labels(pairs_ds, num_buckets, max_iters)
+    labels = cc_bucket_labels(pairs_ds, max_iters)
     if labels is None:
         return docs_ds.select_columns(["doc_id"])
 
-    # anti-join: doc rows (kind=2) co-grouped with non-canonical label
-    # rows (kind=0, key != val) on the same bucket key; a doc survives iff
-    # its bucket group contains no tombstone for its id
+    # anti-join: doc rows (kind=2) co-partitioned with non-canonical
+    # label rows (kind=0, key != val) on the id; a doc survives iff its
+    # partition holds no tombstone for its id
     def tombstones(batch: pa.Table) -> pa.Table:
         keep_mask = pc.not_equal(batch["key"], batch["val"])
         return batch.filter(keep_mask)
 
     docs_keyed = docs_ds.map_batches(
-        _keyed_id_rows, fn_kwargs={"num_buckets": num_buckets, "kind": 2},
-        batch_format="pyarrow",
+        _keyed_id_rows, fn_kwargs={"kind": 2}, batch_format="pyarrow"
     )
     noncanon = labels.map_batches(tombstones, batch_format="pyarrow")
 
-    return docs_keyed.union(noncanon).groupby("bucket").map_groups(
-        _antijoin_keep, batch_format="pyarrow"
+    return co_partition(
+        docs_keyed.union(noncanon), _antijoin_keep, key="key"
     )
 
 
-def _keyed_id_rows(batch: pa.Table, num_buckets: int, kind: int,
+def _keyed_id_rows(batch: pa.Table, kind: int,
                    id_col: str = "doc_id") -> pa.Table:
-    """(ids) -> co-group key rows (bucket, key, kind, val) for the
-    anti-join shape shared by neardup_survivors and anti_join_doc_ids."""
+    """(ids) -> co-group key rows (key, kind, val) for the anti-join
+    shape shared by neardup_survivors and anti_join_doc_ids."""
     ids = [int(i) for i in batch.column(id_col).to_pylist()]
-    return pa.table(
-        {
-            "bucket": pa.array([i % num_buckets for i in ids], pa.int32()),
-            "key": pa.array(ids, pa.int64()),
-            "kind": pa.array([kind] * len(ids), pa.int32()),
-            "val": pa.array(ids, pa.int64()),
-        }
-    )
+    return _label_rows(ids, kind, ids)
 
 
 def _antijoin_keep(group: pa.Table) -> pa.Table:
-    """One co-group bucket: keep kind=2 doc ids with no kind=0 tombstone."""
+    """One co-partition: keep kind=2 doc ids with no kind=0 tombstone."""
     dead = set()
     doc_ids = []
     for k, kind in zip(
@@ -923,28 +804,21 @@ def _antijoin_keep(group: pa.Table) -> pa.Table:
     )
 
 
-def anti_join_doc_ids(docs_ds, dead_ds, dead_col: str = "doc_id",
-                      num_buckets: int | None = None):
+def anti_join_doc_ids(docs_ds, dead_ds, dead_col: str = "doc_id"):
     """docs MINUS a tombstone id stream, as the same keyed co-group
     anti-join neardup_survivors uses (no id set ever materializes on
     the driver) — the survivor filter factored for any removal list:
     fuzzy decontamination, blocklists, manual takedowns.  Duplicate
-    tombstones are harmless (set semantics per bucket group)."""
-    if num_buckets is None:
-        num_buckets = derived_pair_buckets()
+    tombstones are harmless (set semantics per partition)."""
     docs_keyed = docs_ds.map_batches(
-        _keyed_id_rows, fn_kwargs={"num_buckets": num_buckets, "kind": 2},
-        batch_format="pyarrow",
+        _keyed_id_rows, fn_kwargs={"kind": 2}, batch_format="pyarrow"
     )
     dead_keyed = dead_ds.map_batches(
-        _keyed_id_rows,
-        fn_kwargs={
-            "num_buckets": num_buckets, "kind": 0, "id_col": dead_col,
-        },
+        _keyed_id_rows, fn_kwargs={"kind": 0, "id_col": dead_col},
         batch_format="pyarrow",
     )
-    return docs_keyed.union(dead_keyed).groupby("bucket").map_groups(
-        _antijoin_keep, batch_format="pyarrow"
+    return co_partition(
+        docs_keyed.union(dead_keyed), _antijoin_keep, key="key"
     )
 
 
@@ -972,7 +846,7 @@ FP_OVERLAP_NUM = 4  # keep iff 5 * shared >= 4 * min(kept_a, kept_b)
 FP_OVERLAP_DEN = 5
 
 
-def fp_rows(batch, num_buckets: int = WIDE_PAIR_SPACE):
+def fp_rows(batch):
     """Distinct (fingerprint, doc) rows of the inverted index."""
     import pyarrow as pa
 
@@ -990,15 +864,14 @@ def fp_rows(batch, num_buckets: int = WIDE_PAIR_SPACE):
     return pa.table(
         {
             "fp": pa.array(fp, pa.int64()),
-            "bucket": pa.array(((fp % num_buckets).astype(np.int32))),
+            "bucket": pa.array(wide_bucket(fp)),
             "doc_id": pa.array(d_out, pa.int64()),
         }
     )
 
 
-def fp_bucket_pairs(group, num_buckets: int = WIDE_PAIR_SPACE,
-                    max_df: int = FP_MAX_DF):
-    """One coarse bucket of the fingerprint index: co-occurring doc
+def fp_bucket_pairs(group, max_df: int = FP_MAX_DF):
+    """One partition of the fingerprint index: co-occurring doc
     pairs, one row per (pair, shared KEPT fingerprint); posting lists
     with df outside [2, max_df] are dropped whole (the universe cut,
     mirrored by the SQL twin).  Fully vectorized: one lexsort groups
@@ -1027,20 +900,19 @@ def fp_bucket_pairs(group, num_buckets: int = WIDE_PAIR_SPACE,
         b = doc[np.concatenate(b_parts)]
     else:
         a = b = np.zeros(0, dtype=np.int64)
-    pb = (a ^ (b * np.int64(1315423911))) % np.int64(num_buckets)
     return pa.table(
         {
             "doc_id_a": pa.array(a, pa.int64()),
             "doc_id_b": pa.array(b, pa.int64()),
-            "pbucket": pa.array(pb.astype(np.int32), pa.int32()),
+            "bucket": _pair_bucket(a, b),
         }
     )
 
 
 def fp_kept_counts(group, max_df: int = FP_MAX_DF):
-    """Same co-located bucket, second consumer: per-doc count of KEPT
-    fingerprints inside this bucket (vectorized); a downstream bucketed
-    Sum rebuilds each doc's kept-set size."""
+    """Same co-located partition, second consumer: per-doc count of KEPT
+    fingerprints inside this partition (vectorized); a downstream
+    co-partitioned Sum rebuilds each doc's kept-set size."""
     import pyarrow as pa
 
     fp = np.asarray(group.column("fp").to_pylist(), dtype=np.int64)
@@ -1057,7 +929,7 @@ def fp_kept_counts(group, max_df: int = FP_MAX_DF):
 
 
 def _fp_pair_scores(group, nk_map, min_shared: int):
-    """Per pair-bucket: vectorized shared-count per (a, b) + the
+    """Per pair partition: vectorized shared-count per (a, b) + the
     integer-exact overlap-coefficient gate over KEPT-set sizes
     ``FP_OVERLAP_DEN * shared >= FP_OVERLAP_NUM * min(kept_a, kept_b)``
     and the round6 coefficient for the output."""
@@ -1097,16 +969,16 @@ def fingerprint_dup_pairs(ds, min_shared: int = FP_MIN_SHARED,
     """MOSS-style near-dup pairs: documents whose shared kept
     fingerprints cover >= 80% of the smaller kept set and number
     >= ``min_shared``.  Shape: distinct (fp, doc) rows -> ONE
-    wide-bucket co-location sort, materialized and read by two cheap
+    fingerprint co-partition, materialized and read by two cheap
     consumers (pair explode under the df cut; per-doc kept counts) ->
-    pair-key co-location -> vectorized per-pair count + the
+    pair co-partition -> vectorized per-pair count + the
     integer-exact overlap gate over kept-count sizes.
 
     Pair-row volume is bounded by the FP_MAX_DF universe cut (measured
     52.6M -> 1.7M rows at sf0.1).  The kept-count side is DUAL-PATH (the
     unigram_logprob discipline): one int per document broadcasts while
     the corpus is below ``broadcast_max_docs``; above it the counts
-    ATTACH through two keyed co-groups (requests by doc, delivery by
+    ATTACH through two co-partitions (requests by doc, delivery by
     pair bucket — the embedding_dup attach shape) and no per-doc map
     ever reaches the driver or a worker heap.  Same gate either way;
     pinned equal by tests/test_dataops.py."""
@@ -1115,7 +987,7 @@ def fingerprint_dup_pairs(ds, min_shared: int = FP_MIN_SHARED,
     from .vecagg import bucketed_groupby
 
     rows = ds.map_batches(fp_rows, batch_format="pyarrow")
-    located = _bucket_sorted(rows).materialize()
+    located = co_partition(rows, None).materialize()
     # pinned: the count() gate below and the consumer (take_all or the
     # attach co-group) would otherwise each execute the kept-counts
     # pipeline from scratch
@@ -1127,7 +999,7 @@ def fingerprint_dup_pairs(ds, min_shared: int = FP_MIN_SHARED,
         "doc_id", ["k"], ["sum"],
     ).materialize()
     pairs = located.map_batches(
-        lambda g: fp_bucket_pairs(g, WIDE_PAIR_SPACE, max_df),
+        lambda g: fp_bucket_pairs(g, max_df),
         batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
     )
 
@@ -1140,28 +1012,22 @@ def fingerprint_dup_pairs(ds, min_shared: int = FP_MIN_SHARED,
         def score(g):
             return _fp_pair_scores(g, fetch(nk_ref), min_shared)
 
-        return _bucket_sorted(pairs, column="pbucket").map_batches(
-            score, batch_format="pyarrow", batch_size=None,
-            zero_copy_batch=True,
-        )
+        return co_partition(pairs, score)
 
-    # ---- attach path: co-group requests with counts by doc, deliver
-    # (pbucket, doc, k) rows into the pair buckets
+    # ---- attach path: co-partition requests with counts by doc, deliver
+    # (doc, k) rows under each request's pair bucket
     pairs = pairs.materialize()  # read twice: requests + the score union
 
     def requests(b: pa.Table) -> pa.Table:
         a = np.asarray(b.column("doc_id_a").to_pylist(), dtype=np.int64)
         bb = np.asarray(b.column("doc_id_b").to_pylist(), dtype=np.int64)
-        pb = np.asarray(b.column("pbucket").to_pylist(), dtype=np.int64)
+        pb = np.asarray(b.column("bucket").to_pylist(), dtype=np.int64)
         doc = np.concatenate([a, bb])
         pbs = np.concatenate([pb, pb])
-        u = np.unique(doc * np.int64(WIDE_PAIR_SPACE) + pbs)
-        doc, pbs = u // WIDE_PAIR_SPACE, u % WIDE_PAIR_SPACE
+        u = np.unique(doc * np.int64(WIDE_SPACE) + pbs)
+        doc, pbs = u // WIDE_SPACE, u % WIDE_SPACE
         return pa.table(
             {
-                "bucket": pa.array(
-                    (doc % WIDE_PAIR_SPACE).astype(np.int32)
-                ),
                 "doc_id": pa.array(doc, pa.int64()),
                 "pbucket": pa.array(pbs.astype(np.int32), pa.int32()),
                 "k": pa.array(np.full(len(doc), -1, dtype=np.int64)),
@@ -1172,9 +1038,6 @@ def fingerprint_dup_pairs(ds, min_shared: int = FP_MIN_SHARED,
         doc = np.asarray(b.column("doc_id").to_pylist(), dtype=np.int64)
         return pa.table(
             {
-                "bucket": pa.array(
-                    (doc % WIDE_PAIR_SPACE).astype(np.int32)
-                ),
                 "doc_id": pa.array(doc, pa.int64()),
                 "pbucket": pa.array(
                     np.full(len(doc), -1, dtype=np.int32), pa.int32()
@@ -1197,7 +1060,7 @@ def fingerprint_dup_pairs(ds, min_shared: int = FP_MIN_SHARED,
                 "doc_id_b": pa.array(
                     np.full(int(req.sum()), -1, dtype=np.int64)
                 ),
-                "pbucket": pa.array(pb[req], pa.int32()),
+                "bucket": pa.array(pb[req], pa.int32()),
                 # strict indexing: every requested doc has kept counts by
                 # construction (same KeyError contract as the broadcast
                 # path's nk_map lookup)
@@ -1209,12 +1072,10 @@ def fingerprint_dup_pairs(ds, min_shared: int = FP_MIN_SHARED,
             }
         )
 
-    krows = _bucket_sorted(
+    krows = co_partition(
         pairs.map_batches(requests, batch_format="pyarrow")
-        .union(nk.map_batches(count_rows, batch_format="pyarrow"))
-    ).map_batches(
-        deliver, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True,
+        .union(nk.map_batches(count_rows, batch_format="pyarrow")),
+        deliver, key="doc_id",
     )
 
     def pair_rows(b: pa.Table) -> pa.Table:
@@ -1232,10 +1093,7 @@ def fingerprint_dup_pairs(ds, min_shared: int = FP_MIN_SHARED,
             part.filter(pa.array(k < 0)), kmap, min_shared
         )
 
-    return _bucket_sorted(
+    return co_partition(
         pairs.map_batches(pair_rows, batch_format="pyarrow").union(krows),
-        column="pbucket",
-    ).map_batches(
-        score_join, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True,
+        score_join,
     )

@@ -28,14 +28,9 @@ def _pool_bounds() -> tuple[int, int]:
     of 4 actors starves a wide node/cluster on a media-heavy corpus; one
     actor per 4 cores keeps the pool proportional while idle actors stay
     cheap (the pool scales down to 1)."""
-    import ray
+    from .shuffle import session_cpus
 
-    cpus = (
-        int(ray.cluster_resources().get("CPU", 4))
-        if ray.is_initialized()
-        else 4
-    )
-    return (1, max(4, cpus // 4))
+    return (1, max(4, session_cpus() // 4))
 
 
 try:  # pragma: no cover — not installed in this sandbox

@@ -7,13 +7,12 @@ sort-by-``offset`` reassembly:
 
 1. ``explode_spans``: zero-copy flatten of the ``spans`` list column into
    flat span rows (pyarrow kernels only).
-2. ``add_bucket``: deterministic hash of ``doc_id`` into
-   ``WIDE_BUCKET_SPACE`` (2^20) values, the "ONE partitioning key" of the
-   design.  ``reassemble`` cuts that space into uniform ranges for one
-   explicit-boundary sort, so each sort partition holds whole docs
-   (two-level grouping: buckets between workers, doc_id within a
-   partition) and the partition count, not the bucket count, sets the
-   parallelism.
+2. ``shuffle.co_partition`` on ``doc_id``: each span row is routed by
+   ``wide_bucket(doc_id)``, one of ``shuffle.WIDE_SPACE`` (2^20) values,
+   and one sort with explicit uniform boundaries over that space cuts
+   the rows into partitions that each hold whole docs (two-level
+   grouping: buckets between workers, doc_id within a partition); the
+   partition count, not the bucket count, sets the parallelism.
 3. ``assemble_group``: within one partition, sort by (doc_id, offset) and
    concatenate 'html' span payloads; 'media' spans contribute their refs in
    offset order.  The in-group sort is the only ordering guarantee the
@@ -22,14 +21,13 @@ sort-by-``offset`` reassembly:
 """
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.arrownp import num_col
 from ..schema import ASSEMBLED
+from .shuffle import co_partition, partition_count, wide_bucket
 
 
 def limit_arrow_threads() -> None:
@@ -62,64 +60,6 @@ def explode_spans(batch: pa.Table) -> pa.Table:
             "offset": flat.field("offset"),
         }
     )
-
-
-_KNUTH = np.uint64(2654435761)
-
-# Wide routing space for the plain reassembly sort.  A SMALL discrete
-# bucket space (e.g. 128) breaks partition balance: Ray's range
-# partitioner samples boundary values, and with partitions ~ distinct
-# keys the sampled ranges cover 2-6 buckets each — measured 3.3x
-# task-row skew and a straggler-paced extract stage.  With ~1M distinct
-# bucket values the sampled boundaries land proportionally to ROWS, so
-# partitions balance at any partition count.  Range partitioning never
-# splits one key value across partitions, so every doc still lands
-# whole in exactly one partition.
-WIDE_BUCKET_SPACE = 1 << 20
-
-
-def add_bucket(batch: pa.Table) -> pa.Table:
-    """Adds the partition bucket, one of ``WIDE_BUCKET_SPACE`` values.
-    A plain function task (not an actor pool): stateless, and task pools
-    never hold CPU reservations that would starve the adjacent
-    all-to-all's tasks.
-
-    Decimal doc_ids (the spans table synthesizes those) take a fully
-    vectorized multiplicative-hash path — no per-row Python on the
-    reassembly shuffle's hot side; other ids (corpus readers use sha256
-    hex) take the crc32 row loop.  The path is chosen PER VALUE, never
-    per batch: in a mixed-id corpus a per-batch choice would route the
-    same document through different hash functions depending on its
-    batch's neighbors and split it across buckets."""
-    col = pc.cast(batch.column("doc_id"), pa.string())
-    # <=18 digits so the int64 cast below cannot overflow; is_decimal +
-    # length are plain C kernels (a regex here cost as much as the crc loop)
-    numeric = pc.and_(
-        pc.utf8_is_decimal(col),
-        pc.less_equal(pc.utf8_length(col), 18),
-    )
-    num_mask = numeric.combine_chunks().to_numpy(zero_copy_only=False)
-    buckets = np.empty(batch.num_rows, dtype=np.int32)
-    if num_mask.any():
-        sub = col.filter(numeric)
-        ids = pc.cast(sub, pa.int64()).combine_chunks().to_numpy(
-            zero_copy_only=False
-        ).astype(np.uint64)
-        # Knuth multiplicative hash decorrelates bucket from id ranges
-        # (plain modulo maps strided id patterns to one bucket)
-        buckets[num_mask] = (
-            ((ids * _KNUTH) & np.uint64(0xFFFFFFFF))
-            % np.uint64(WIDE_BUCKET_SPACE)
-        ).astype(np.int32)
-    if not num_mask.all():
-        crc = zlib.crc32
-        rest = col.filter(pc.invert(numeric)).to_pylist()
-        buckets[~num_mask] = np.fromiter(
-            (crc(s.encode()) % WIDE_BUCKET_SPACE for s in rest),
-            dtype=np.int32,
-            count=len(rest),
-        )
-    return batch.append_column("bucket", pa.array(buckets, pa.int32()))
 
 
 def assemble_group(group: pa.Table) -> pa.Table:
@@ -180,57 +120,26 @@ def assemble_group(group: pa.Table) -> pa.Table:
     )
 
 
-PARTITION_TARGET_BYTES = 64 << 20  # keep a partition well under block limits
-
-
 def _default_partitions(input_bytes: int | None = None) -> int:
-    """Reassembly partition count: ~2 balanced partitions per CPU (waves
-    of equal tasks; more partitions only add sort/scheduling overhead
-    once partitions are balanced — measured), raised so no partition
-    exceeds ~64 MiB when the caller knows the input size (partition
-    volume grows with data per core at scale; the size floor keeps
-    per-partition memory bounded no matter the cluster shape)."""
-    import ray
-
-    cpus = (
-        int(ray.cluster_resources().get("CPU", 4))
-        if ray.is_initialized()
-        else 4
-    )
-    base = 2 * cpus
-    if input_bytes:
-        base = max(base, -(-input_bytes // PARTITION_TARGET_BYTES))
-    return base
+    """Re-export of ``shuffle.partition_count`` under the name the
+    benchmark harness imports; remove with the next benchmark change."""
+    return partition_count(input_bytes)
 
 
 def reassemble(ds, partitions: int | None = None):
     """Dataset -> Dataset of assembled documents (the reassembly shuffle).
 
-    Shape: explode -> wide-space bucket key -> ``sort(bucket)`` -> ONE
-    vectorized ``assemble_group`` call per sort partition (``map_batches``
-    with whole-block batches).  This is the groupby-``doc_id`` co-location
-    shuffle of the design, expressed as sort + per-partition assembly:
-    ``assemble_group`` already handles arbitrarily many docs per call, so
-    per-group Python dispatch is avoided AND partitions stay balanced
-    (see WIDE_BUCKET_SPACE)."""
+    Shape: explode -> ``shuffle.co_partition`` on ``doc_id`` (wide-space
+    bucket, one explicit-boundary sort) -> ONE vectorized
+    ``assemble_group`` call per sort partition.  This is the
+    groupby-``doc_id`` co-location shuffle of the design:
+    ``assemble_group`` handles arbitrarily many docs per call, so
+    per-group Python dispatch is avoided and partitions stay balanced.
+    ``partitions`` defaults to ``shuffle.partition_count()``; callers
+    that know the input size pass ``partition_count(input_bytes)``."""
     ds = ds.map_batches(explode_spans, batch_format="pyarrow")
-    ds = ds.map_batches(add_bucket, batch_format="pyarrow")
-    # EXPLICIT uniform boundaries kill the last skew source: sampled
-    # boundaries varied partition rows 3x even over the wide space
-    # (few samples per block), while uniform cuts of a uniform hash give
-    # ~N/P +- sqrt(N/P) rows per partition, deterministically.
-    # CONTRACT: Ray's sort materializes exactly one block per output
-    # partition (verified even at partition >> target_max_block_size;
-    # pinned by tests/test_sort_block_contract.py), so the per-block
-    # assemble below always sees whole buckets.  If a Ray upgrade breaks
-    # that, the pinned test goes red — switch back to
-    # groupby("bucket").map_groups, which guarantees group integrity.
-    p = partitions or _default_partitions()
-    bounds = [WIDE_BUCKET_SPACE * i // p for i in range(1, p)]
-    return ds.sort("bucket", boundaries=bounds).map_batches(
-        assemble_group, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True,
-    )
+    return co_partition(ds, assemble_group, key="doc_id",
+                        partitions=partitions)
 
 
 # ------------------------------------------------------- salted reassembly
@@ -255,46 +164,13 @@ DEFAULT_SALT_RANGE = 1 << 16
 def add_salt_bucket(
     batch: pa.Table, salt_range: int = DEFAULT_SALT_RANGE
 ) -> pa.Table:
-    """Bucket over a deterministic hash of (doc_id, salt), one of
-    ``WIDE_BUCKET_SPACE`` values.
-
-    Vectorized like ``add_bucket``: decimal doc_ids take a multiplicative
-    mix of (id, salt) entirely in numpy; other ids fall back to a crc32 row
-    loop.  Path chosen PER VALUE (a per-batch choice would split one doc
-    across hash functions).  Any deterministic function of (doc_id, salt)
-    is correct here — assembly restores order by (salt, offset), so the
-    bucket only routes (property-tested in tests/test_state.py)."""
-    col = pc.cast(batch.column("doc_id"), pa.string())
-    offs = num_col(batch.column("offset"), np.int64)
-    salts = offs // salt_range
-    numeric = pc.and_(
-        pc.utf8_is_decimal(col),
-        pc.less_equal(pc.utf8_length(col), 18),
-    )
-    num_mask = numeric.combine_chunks().to_numpy(zero_copy_only=False)
-    buckets = np.empty(batch.num_rows, dtype=np.int32)
-    if num_mask.any():
-        ids = pc.cast(col.filter(numeric), pa.int64()).combine_chunks() \
-            .to_numpy(zero_copy_only=False).astype(np.uint64)
-        mixed = (
-            ids * _KNUTH
-            ^ (salts[num_mask].astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-        )
-        buckets[num_mask] = (
-            (mixed & np.uint64(0xFFFFFFFF)) % np.uint64(WIDE_BUCKET_SPACE)
-        ).astype(np.int32)
-    if not num_mask.all():
-        crc = zlib.crc32
-        rest = col.filter(pc.invert(numeric)).to_pylist()
-        rest_salts = salts[~num_mask]
-        buckets[~num_mask] = np.fromiter(
-            (
-                crc(f"{d}#{s}".encode()) % WIDE_BUCKET_SPACE
-                for d, s in zip(rest, rest_salts)
-            ),
-            dtype=np.int32,
-            count=len(rest),
-        )
+    """Appends ``salt = offset // salt_range`` and the (doc_id, salt)
+    bucket, ``shuffle.wide_bucket(doc_id, salt)``.  Any deterministic
+    function of (doc_id, salt) is correct here — assembly restores order
+    by (salt, offset), so the bucket only routes (property-tested in
+    tests/test_state.py)."""
+    salts = num_col(batch.column("offset"), np.int64) // salt_range
+    buckets = wide_bucket(batch.column("doc_id"), salt=salts)
     return batch.append_column(
         "salt", pa.array(salts, pa.int64())
     ).append_column("bucket", pa.array(buckets, pa.int32()))
@@ -343,38 +219,18 @@ def partial_assemble_group(group: pa.Table) -> pa.Table:
     return pa.concat_tables([partial, media])
 
 
-def _wide_sorted(ds, partitions: int | None = None):
-    """Balanced shuffle for the salted phases: explicit uniform
-    boundaries over the wide bucket space, one consumer call per
-    partition (the same discipline as reassemble() — a groupby over a
-    SMALL discrete bucket space samples boundaries that skew partition
-    rows ~3x, the exact trap stages/dedup.py documents)."""
-    p = partitions or _default_partitions()
-    bounds = [WIDE_BUCKET_SPACE * i // p for i in range(1, p)]
-    return ds.sort("bucket", boundaries=bounds)
-
-
 def reassemble_salted(ds, salt_range: int = DEFAULT_SALT_RANGE):
     """Skew-resistant two-phase reassembly; output-equal to reassemble().
 
-    Both phases route over the WIDE bucket space with explicit uniform
-    sort boundaries (phase correctness only needs "same (doc_id, salt)
-    shard → same partition", which any deterministic bucket gives).
-    ``partial_assemble_group`` / ``assemble_group`` already handle
-    arbitrarily many shards per call, so one vectorized call per sort
-    partition replaces per-group Python dispatch."""
+    Both phases are ``shuffle.co_partition`` runs (phase correctness
+    only needs "same (doc_id, salt) shard -> same partition", which any
+    deterministic bucket gives).  ``partial_assemble_group`` /
+    ``assemble_group`` handle arbitrarily many shards per call."""
     ds = ds.map_batches(explode_spans, batch_format="pyarrow")
     ds = ds.map_batches(
         add_salt_bucket, fn_kwargs={"salt_range": salt_range},
         batch_format="pyarrow",
     )
-    partials = _wide_sorted(ds).map_batches(
-        partial_assemble_group, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True,
-    )
+    partials = co_partition(ds, partial_assemble_group)
     # phase 2: plain reassembly over the (much smaller) partial-span set
-    partials = partials.map_batches(add_bucket, batch_format="pyarrow")
-    return _wide_sorted(partials).map_batches(
-        assemble_group, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True,
-    )
+    return co_partition(partials, assemble_group, key="doc_id")

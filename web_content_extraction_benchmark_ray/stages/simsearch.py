@@ -27,6 +27,7 @@ import numpy as np
 
 from ..functions.arrownp import num_col
 from ..state.memo import fetch
+from .shuffle import co_partition, wide_bucket
 import pyarrow as pa
 
 KNN_K = 10
@@ -226,16 +227,12 @@ def rhp_band_rows(batch: pa.Table) -> pa.Table:
     weights = (1 << np.arange(RHP_BAND_BITS, dtype=np.int64))
     band_vals = (bits.reshape(n, RHP_BANDS, RHP_BAND_BITS) @ weights).ravel()
     band_ids = np.tile(np.arange(RHP_BANDS, dtype=np.int64), n)
-    # multiplicative spread into the wide sort space (the (band, val) key
-    # spans only [0, 2047] — same degenerate-partition fix as simhash)
-    from .dedup import WIDE_PAIR_SPACE
-
-    buckets = (
-        (band_ids * (1 << RHP_BAND_BITS) + band_vals) * 2654435761
-    ) % WIDE_PAIR_SPACE
+    # the (band, val) key spans only [0, 2047]; wide_bucket spreads it
+    # over the whole sort space (same degenerate-partition fix as simhash)
+    buckets = wide_bucket(band_ids * (1 << RHP_BAND_BITS) + band_vals)
     return pa.table(
         {
-            "bucket": pa.array(buckets.astype(np.int32)),
+            "bucket": pa.array(buckets),
             "band_id": pa.array(band_ids.astype(np.int32)),
             "band_val": pa.array(band_vals),
             "vec_id": pa.array(np.repeat(vec_ids, RHP_BANDS)),
@@ -305,7 +302,6 @@ def rhp_candidate_pairs(group: pa.Table) -> pa.Table:
 
 
 _KNUTH64 = np.uint64(2654435761)
-_PAIR_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _vkey_bucket(keys: np.ndarray, space: int) -> np.ndarray:
@@ -314,19 +310,14 @@ def _vkey_bucket(keys: np.ndarray, space: int) -> np.ndarray:
     ).astype(np.int64)
 
 
-def _pair_bucket(a: np.ndarray, b: np.ndarray, space: int) -> np.ndarray:
-    mixed = a.astype(np.uint64) * _KNUTH64 ^ b.astype(np.uint64) * _PAIR_MIX
-    return (mixed % np.uint64(space)).astype(np.int64)
-
-
 def cosine_dup_pairs_lsh(ds, threshold: float = COS_DUP_THRESHOLD,
                          partitions: int | None = None):
     """Near-dup pairs via integer-RHP LSH banding + exact-cosine verify —
     the scale path: no corpus broadcast, no O(N²) matmul, and the shuffle
     carries each embedding ~once (not once per band).
 
-    Stages (all balanced wide-space sorts, stages/dedup.py discipline —
-    exactly THREE all-to-alls, the minimum for this shape):
+    Stages (all ``stages/shuffle.co_partition`` runs — exactly THREE
+    all-to-alls, the minimum for this shape):
 
     1. light band rows -> sort(bucket) -> candidate pairs per posting
        list.  Candidates stay DUPLICATED across bands/partitions here:
@@ -335,9 +326,9 @@ def cosine_dup_pairs_lsh(ds, threshold: float = COS_DUP_THRESHOLD,
        dict collapses them for free — same bucket, same partition).
     2. VERIFY CO-GROUP: pair rows split into two sides keyed by the
        member vec_id, unioned with a single-copy (vec_id -> normalized
-       vector) side, sorted by the key's bucket; each partition attaches
+       vector) side, co-partitioned on that key; each partition attaches
        the vector to every pair-side row it hosts.
-    3. attached sides sorted by a pair-hash bucket; each partition
+    3. attached sides co-partitioned by a pair-hash bucket; each partition
        computes round6(cos) per pair from its two sides (duplicates
        collapse in the per-pair map) and keeps >= threshold.
 
@@ -348,19 +339,14 @@ def cosine_dup_pairs_lsh(ds, threshold: float = COS_DUP_THRESHOLD,
     hash check is robust for ANY embedding content, not just exact
     copies.
 
-    ``partitions`` bounds every sort's partition count — the pipeline
-    runs THREE all-to-alls, so at small inputs the default 2/CPU
-    partitioning is pure scheduling overhead (measured 11s for a 2k-vec
-    corpus at 32 CPUs vs ~2s with size-fitted partitions); callers that
-    know the corpus bytes should pass ~1 partition per 16 MiB.
+    ``partitions`` sets every sort's partition count (default
+    ``shuffle.partition_count()``); callers that know the corpus bytes
+    pass ``partition_count(their byte estimate)``.
     """
-    from .dedup import WIDE_PAIR_SPACE, _bucket_sorted
+    from .dedup import _pair_bucket
 
     rows = ds.map_batches(rhp_band_rows, batch_format="pyarrow")
-    pairs = _bucket_sorted(rows, partitions).map_batches(
-        rhp_candidate_pairs, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True,
-    )
+    pairs = co_partition(rows, rhp_candidate_pairs, partitions=partitions)
 
     def pair_sides(batch: pa.Table) -> pa.Table:
         a = num_col(batch.column("doc_id_a"), np.int64)
@@ -370,7 +356,6 @@ def cosine_dup_pairs_lsh(ds, threshold: float = COS_DUP_THRESHOLD,
         pair_b = np.concatenate([b, b])
         return pa.table(
             {
-                "bucket": pa.array(_vkey_bucket(vkey, WIDE_PAIR_SPACE)),
                 "vkey": pa.array(vkey),
                 "pair_a": pa.array(pair_a),
                 "pair_b": pa.array(pair_b),
@@ -386,7 +371,6 @@ def cosine_dup_pairs_lsh(ds, threshold: float = COS_DUP_THRESHOLD,
         if len(vec_ids) == 0:
             return pa.table(
                 {
-                    "bucket": pa.array([], pa.int64()),
                     "vkey": pa.array([], pa.int64()),
                     "pair_a": pa.array([], pa.int64()),
                     "pair_b": pa.array([], pa.int64()),
@@ -403,7 +387,6 @@ def cosine_dup_pairs_lsh(ds, threshold: float = COS_DUP_THRESHOLD,
         ).cast(pa.list_(pa.float64()))
         return pa.table(
             {
-                "bucket": pa.array(_vkey_bucket(vec_ids, WIDE_PAIR_SPACE)),
                 "vkey": pa.array(vec_ids),
                 "pair_a": pa.array(zeros),
                 "pair_b": pa.array(zeros),
@@ -437,9 +420,7 @@ def cosine_dup_pairs_lsh(ds, threshold: float = COS_DUP_THRESHOLD,
         b_arr = np.asarray(out_b, dtype=np.int64)
         return pa.table(
             {
-                "bucket": pa.array(
-                    _pair_bucket(a_arr, b_arr, WIDE_PAIR_SPACE)
-                ),
+                "bucket": _pair_bucket(a_arr, b_arr),
                 "pair_a": pa.array(a_arr),
                 "pair_b": pa.array(b_arr),
                 "vkey": pa.array(out_k, pa.int64()),
@@ -447,9 +428,8 @@ def cosine_dup_pairs_lsh(ds, threshold: float = COS_DUP_THRESHOLD,
             }
         )
 
-    attached = _bucket_sorted(sides.union(vside), partitions).map_batches(
-        attach, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True,
+    attached = co_partition(
+        sides.union(vside), attach, key="vkey", partitions=partitions
     )
 
     def verify(part: pa.Table) -> pa.Table:
@@ -481,7 +461,4 @@ def cosine_dup_pairs_lsh(ds, threshold: float = COS_DUP_THRESHOLD,
             }
         )
 
-    return _bucket_sorted(attached, partitions).map_batches(
-        verify, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True,
-    )
+    return co_partition(attached, verify, partitions=partitions)

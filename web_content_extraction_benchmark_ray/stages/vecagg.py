@@ -7,42 +7,28 @@ wordcount/window-hash aggregates (a per-key loop is exactly the
 "map_groups fires once per group" trap, one layer down).  This stage
 keeps the aggregation semantics but makes the key-space cost vectorized:
 
-1. a stateless map adds ``bucket = hash(key) % num_buckets``;
-2. ``groupby(bucket).map_groups`` fires Python once per BUCKET
-   (bounded, default 256), never per key;
-3. inside a bucket the reduction is one ``np.unique`` factorize plus
-   ``np.add.at`` / ``np.minimum.at`` over the value columns — flat
-   array passes regardless of key cardinality.
+1. ``stages/shuffle.co_partition(ds, reduce, key=key)`` routes every
+   row by ``wide_bucket(key)`` into ``partition_count()`` balanced sort
+   partitions, so all rows of one key meet in one partition;
+2. ``reduce`` fires Python once per PARTITION (~2 per CPU), never per
+   key: one ``np.unique`` factorize of the key plus ``np.add.at`` /
+   ``np.minimum.at`` over the value columns — flat array passes
+   regardless of key cardinality.
 
 At 100-TB scale the key space (vocabulary types, window hashes, content
 hashes) is billions; per-key Python work is a scale-killer while
-per-bucket flat reductions track data size.  Buckets are hash-uniform,
-so skew only arises from a single hot KEY, which pre-aggregation in the
-upstream combiner already collapses to one row per block.
+per-partition flat reductions track data size.  The routing hash is
+uniform, so skew only arises from a single hot KEY, which pre-aggregation
+in the upstream combiner already collapses to one row per block.
 """
 from __future__ import annotations
-
-import zlib
 
 import numpy as np
 import pyarrow as pa
 
-DEFAULT_BUCKETS = 256
+from .shuffle import co_partition
 
 _OPS = ("sum", "min", "max", "count")
-
-
-def _bucket_of(col: pa.ChunkedArray, num_buckets: int) -> np.ndarray:
-    if pa.types.is_integer(col.type):
-        keys = np.asarray(col.to_pylist(), dtype=np.int64)
-        return (keys % num_buckets + num_buckets) % num_buckets
-    # string keys: crc32 is deterministic across processes/runs (unlike
-    # builtin hash()) and C-speed per call
-    return np.array(
-        [zlib.crc32(s.encode("utf-8")) % num_buckets
-         for s in col.to_pylist()],
-        dtype=np.int64,
-    )
 
 
 def bucketed_groupby(
@@ -50,10 +36,9 @@ def bucketed_groupby(
     key: str,
     vals: list[str],
     ops: list[str],
-    num_buckets: int = DEFAULT_BUCKETS,
     out_names: list[str] | None = None,
 ):
-    """groupby(key).aggregate(ops over vals), bucketed + vectorized.
+    """groupby(key).aggregate(ops over vals), co-partitioned + vectorized.
 
     Returns a Dataset with columns ``(key, *out_names)`` where
     ``out_names`` defaults to ``vals``.  ``ops[i]`` in {sum, min, max,
@@ -64,12 +49,6 @@ def bucketed_groupby(
     independent — the float-parity discipline)."""
     assert len(vals) == len(ops) and all(o in _OPS for o in ops)
     names = list(out_names or vals)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "bucket",
-            pa.array(_bucket_of(batch.column(key), num_buckets), pa.int64()),
-        )
 
     def reduce(group: pa.Table) -> pa.Table:
         kcol = group.column(key)
@@ -106,8 +85,4 @@ def bucketed_groupby(
             cols[name] = pa.array(acc, pa.int64())
         return pa.table(cols)
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(reduce, batch_format="pyarrow")
-    )
+    return co_partition(ds, reduce, key=key)
