@@ -4,7 +4,9 @@ physical-plan choice (``partition_count()``, 2 per session CPU).  Each
 group function must key on its real key, never on the bucket or the
 partition, so results must be identical at 2 partitions and at 32.
 The count is varied by patching ``shuffle.session_cpus`` on the driver,
-where the plan is built.
+where the plan is built; the size fit is switched off (one partition
+may hold a single byte) so callers that pass their input's bytes go
+just as wide on these tiny inputs.
 """
 from __future__ import annotations
 
@@ -122,9 +124,11 @@ def test_partition_count_invariance(ray_session, monkeypatch, case):
     from web_content_extraction_benchmark_ray.stages import shuffle
 
     out = {}
+    monkeypatch.setattr(shuffle, "SMALL_PARTITION_BYTES", 1)
     for cpus in (1, 16):
         monkeypatch.setattr(shuffle, "session_cpus", lambda c=cpus: c)
         assert shuffle.partition_count() == 2 * cpus
+        assert shuffle.partition_count(1 << 20) == 2 * cpus
         out[cpus] = _sorted_df(CASES[case]())
     assert len(out[1]) > 0
     assert out[1].equals(out[16])

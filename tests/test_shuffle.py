@@ -50,6 +50,9 @@ def _mixed_ids() -> list[str]:
     ids += [str(10**18 + int(x)) for x in rng.integers(0, 10**17, 50)]  # 19
     ids += [hashlib.sha256(str(i).encode()).hexdigest() for i in range(200)]
     ids += ["0", "00042", "12ab", ""]
+    # decimal in Unicode but not ASCII: Arabic-Indic, full-width and
+    # Devanagari digits must take the crc32 path, not the int64 cast
+    ids += ["\u0661\u0662\u0663", "\uff12\uff10\uff12\uff14", "\u0967\u0968"]
     order = rng.permutation(len(ids))
     return [ids[i] for i in order]
 
@@ -73,7 +76,9 @@ def test_wide_bucket_pins_the_reassembly_routing():
     assert got.column("bucket").type == pa.int32()
     assert got.column("bucket").to_pylist() == want
     # an int64 key routes exactly like its decimal string
-    nums = [int(d) for d in ids if d.isdecimal() and len(d) <= 18]
+    nums = [
+        int(d) for d in ids if d.isdecimal() and d.isascii() and len(d) <= 18
+    ]
     assert wide_bucket(pa.array(nums, pa.int64())).tolist() == _ref_bucket(
         [str(n) for n in nums]
     )
@@ -98,19 +103,53 @@ def test_salted_bucket_pins_the_salted_routing():
     assert got.column("bucket").to_pylist() == _ref_salt_bucket(ids, salts)
 
 
+def test_bucketed_groupby_counts_non_ascii_digit_keys(ray_session):
+    """Vocabulary keys come from page text: a token made only of
+    another script's digits is a string key like any other."""
+    from collections import Counter
+
+    import ray.data
+
+    from web_content_extraction_benchmark_ray.stages.vecagg import (
+        bucketed_groupby,
+    )
+
+    words = [
+        "\u0661\u0662\u0663", "\uff12\uff10\uff12\uff14", "\u0967\u0968",
+        "2024", "00042", "42", "word", "\u0661\u0662\u0663",
+    ] * 3 + ["2024"]
+    ds = ray.data.from_arrow(
+        pa.table({"word": words, "one": np.ones(len(words), np.int64)})
+    ).repartition(3)
+    out = bucketed_groupby(ds, "word", ["one"], ["count"], out_names=["n"])
+    got = {r["word"]: r["n"] for r in out.take_all()}
+    assert got == dict(Counter(words))
+
+
 def test_partition_count_rule(monkeypatch):
     from web_content_extraction_benchmark_ray.stages import shuffle
 
     target = shuffle.PARTITION_TARGET_BYTES
-    assert target == 64 << 20
-    for cpus in (1, 4, 16):
+    small = shuffle.SMALL_PARTITION_BYTES
+    assert (target, small) == (64 << 20, 16 << 20)
+    for cpus in (1, 4, 16, 32):
         monkeypatch.setattr(shuffle, "session_cpus", lambda c=cpus: c)
-        # CPU floor: two partitions per CPU
+        # CPU floor: two partitions per CPU when the input is unknown
         assert shuffle.partition_count() == 2 * cpus
-        assert shuffle.partition_count(target) == 2 * cpus
+        # size fit: a small input gets at most one partition per 16 MiB
+        # (at least 4), never more than the CPU floor
+        assert shuffle.partition_count(1) == min(2 * cpus, 4)
+        assert shuffle.partition_count(6 * small) == min(2 * cpus, 6)
+        assert shuffle.partition_count(6 * small + 1) == min(2 * cpus, 7)
         # size floor: no partition above ~64 MiB
-        assert shuffle.partition_count(100 * target) == 100
-        assert shuffle.partition_count(100 * target + 1) == 101
+        assert shuffle.partition_count(100 * target) == max(2 * cpus, 100)
+        assert shuffle.partition_count(100 * target + 1) == max(
+            2 * cpus, 101
+        )
+    # a 1-CPU session (the benchmark's) keeps 2 partitions below 128 MiB
+    monkeypatch.setattr(shuffle, "session_cpus", lambda: 1)
+    assert {shuffle.partition_count(b) for b in (1, small, 2 * target)} == {2}
+    assert shuffle.partition_count(2 * target + 1) == 3
 
 
 def test_co_partition_cuts_uniform_boundaries(ray_session, monkeypatch):

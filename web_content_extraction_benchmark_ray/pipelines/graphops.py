@@ -95,9 +95,10 @@ def link_pagerank(sf_dir: str, iters: int = PR_ITERS):
     int64.  Output one row per doc: (node, rank_q).
 
     Every node emits a zero self-contribution row so in-degree-0 nodes
-    stay in the rank table (the SQL twin's LEFT JOIN + coalesce); that
-    row also marks the key as a document, so a link target with no
-    self row is not a doc_id and raises."""
+    stay in the rank table (the SQL twin's LEFT JOIN + coalesce).  In
+    the first round that row also marks the key as a document, so a link
+    target with no self row is not a doc_id and raises; the edges are
+    the same every round, so later rounds skip the mark."""
     n = _n_docs(sf_dir)
     r0 = RANK_SCALE // n
     base = ((PR_DAMP_DEN - PR_DAMP_NUM) * r0) // PR_DAMP_DEN
@@ -111,7 +112,7 @@ def link_pagerank(sf_dir: str, iters: int = PR_ITERS):
             }
         )
 
-    def scatter(batch: pa.Table) -> pa.Table:
+    def scatter(batch: pa.Table, check: bool) -> pa.Table:
         nodes = np.asarray(batch.column("node").to_pylist(), np.int64)
         r = np.asarray(batch.column("r").to_pylist(), np.int64)
         dst = _edge_dsts(nodes, n)
@@ -119,22 +120,22 @@ def link_pagerank(sf_dir: str, iters: int = PR_ITERS):
         out_c = np.concatenate(
             [np.repeat(r // OUT_DEG, OUT_DEG), np.zeros(len(nodes), np.int64)]
         )
-        is_doc = np.concatenate(
-            [np.zeros(dst.size, np.int64), np.ones(len(nodes), np.int64)]
-        )
-        return pa.table(
-            {
-                "dst": pa.array(out_dst, pa.int64()),
-                "c": pa.array(out_c, pa.int64()),
-                "is_doc": pa.array(is_doc, pa.int64()),
-            }
-        )
+        out = {
+            "dst": pa.array(out_dst, pa.int64()),
+            "c": pa.array(out_c, pa.int64()),
+        }
+        if check:
+            is_doc = np.zeros(len(out_dst), np.int64)
+            is_doc[dst.size:] = 1
+            out["is_doc"] = pa.array(is_doc, pa.int64())
+        return pa.table(out)
 
     def apply_rank(batch: pa.Table) -> pa.Table:
-        is_doc = np.asarray(batch.column("is_doc").to_pylist(), np.int64)
-        if not is_doc.all():
-            dst = batch.column("dst").to_pylist()
-            raise _not_a_doc("link_pagerank", dst[int(np.argmin(is_doc))])
+        if "is_doc" in batch.column_names:
+            is_doc = np.asarray(batch.column("is_doc").to_pylist(), np.int64)
+            if not is_doc.all():
+                dst = batch.column("dst").to_pylist()
+                raise _not_a_doc("link_pagerank", dst[int(np.argmin(is_doc))])
         inflow = np.asarray(batch.column("inflow").to_pylist(), np.int64)
         return pa.table(
             {
@@ -146,11 +147,18 @@ def link_pagerank(sf_dir: str, iters: int = PR_ITERS):
         )
 
     ranks = _doc_ids(sf_dir).map_batches(init, batch_format="pyarrow")
-    for _ in range(iters):
-        scattered = ranks.map_batches(scatter, batch_format="pyarrow")
+    for i in range(iters):
+        check = i == 0
+        scattered = ranks.map_batches(
+            scatter, fn_kwargs={"check": check}, batch_format="pyarrow"
+        )
+        if check:
+            vals, ops = ["c", "is_doc"], ["sum", "max"]
+            names = ["inflow", "is_doc"]
+        else:
+            vals, ops, names = ["c"], ["sum"], ["inflow"]
         ranks = bucketed_groupby(
-            scattered, "dst", ["c", "is_doc"], ["sum", "max"],
-            out_names=["inflow", "is_doc"],
+            scattered, "dst", vals, ops, out_names=names
         ).map_batches(apply_rank, batch_format="pyarrow")
 
     def rename(batch: pa.Table) -> pa.Table:

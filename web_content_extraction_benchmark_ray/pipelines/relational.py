@@ -34,7 +34,7 @@ import pyarrow as pa
 import ray
 
 from ..sources.storage import capped_num_blocks, read_table
-from ..stages.shuffle import co_partition, session_cpus
+from ..stages.shuffle import co_partition, partition_count, session_cpus
 from ..stages.vecagg import bucketed_groupby
 from ..state.memo import fetch, memo
 
@@ -48,6 +48,18 @@ def _read(sf_dir: str, table: str, columns):
     return read_table(
         path, columns=columns,
         override_num_blocks=capped_num_blocks(path, 2 * session_cpus()),
+    )
+
+
+def _partitions(sf_dir: str, *tables: str) -> int:
+    """Co-group partition count fitted to the joined tables' bytes: a
+    join of small tables runs in few partitions (each extra one adds a
+    task and a row and column of the all-to-all)."""
+    return partition_count(
+        sum(
+            os.path.getsize(os.path.join(sf_dir, f"{t}.parquet"))
+            for t in tables
+        )
     )
 
 
@@ -156,7 +168,10 @@ def _orders_join_agg(sf_dir: str, label_name: str,
             }
         )
 
-    parts = co_partition(li.union(orders), joined, key="orderkey")
+    parts = co_partition(
+        li.union(orders), joined, key="orderkey",
+        partitions=_partitions(sf_dir, "lineitem", "orders"),
+    )
     return bucketed_groupby(
         parts, "o_orderpriority", ["n_lines", "revenue6"], ["sum", "sum"],
         out_names=["n_lines", "revenue6"],
@@ -312,7 +327,10 @@ def parts_stale(sf_dir: str):
             pk = pk[lk[idx] != pk]
         return pa.table({"p_partkey": pa.array(np.sort(pk), pa.int64())})
 
-    return co_partition(live.union(parts), anti, key="key")
+    return co_partition(
+        live.union(parts), anti, key="key",
+        partitions=_partitions(sf_dir, "lineitem", "part"),
+    )
 
 
 # --------------------------------------------------------------- docs_rollup

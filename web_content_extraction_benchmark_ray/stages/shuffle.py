@@ -37,6 +37,8 @@ import pyarrow.compute as pc
 
 WIDE_SPACE = 1 << 20
 PARTITION_TARGET_BYTES = 64 << 20  # keep a partition well under block limits
+SMALL_PARTITION_BYTES = 16 << 20  # smaller ones cost more than they spread
+MIN_SIZED_PARTITIONS = 4
 
 _KNUTH = np.uint64(2654435761)
 _SALT_MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -56,26 +58,38 @@ def session_cpus() -> int:
 def partition_count(input_bytes: int | None = None) -> int:
     """~2 balanced partitions per CPU (waves of equal tasks; more
     partitions only add sort/scheduling overhead once partitions are
-    balanced — measured), raised so no partition exceeds ~64 MiB when the
-    caller knows the input size (the size floor keeps per-partition
-    memory bounded at any cluster shape)."""
-    base = 2 * session_cpus()
+    balanced — measured).  When the caller knows the bytes its shuffle
+    carries, the count is also fitted to them:
+
+    - no more than one partition per ~16 MiB (but at least 4, and never
+      above the CPU count's 2 per CPU): a small input gains nothing from
+      a wide session's partitions and pays their P x P all-to-all
+      (measured: a 2k-vector corpus through the three sorts of
+      ``simsearch.cosine_dup_pairs_lsh`` at 32 CPUs took 11 s at 64
+      partitions vs ~2 s at 4);
+    - no fewer than one per ~64 MiB: bounded per-partition memory at
+      any cluster shape.
+
+    A 1-CPU session always gets 2 partitions for inputs under 128 MiB."""
+    p = 2 * session_cpus()
     if input_bytes:
-        base = max(base, -(-input_bytes // PARTITION_TARGET_BYTES))
-    return base
+        fit = -(-input_bytes // SMALL_PARTITION_BYTES)
+        p = min(p, max(MIN_SIZED_PARTITIONS, fit))
+        p = max(p, -(-input_bytes // PARTITION_TARGET_BYTES))
+    return p
 
 
 def wide_bucket(col, salt: np.ndarray | None = None) -> np.ndarray:
     """Key column -> int32 buckets in ``[0, WIDE_SPACE)``.
 
-    Integer keys, and string keys that are decimal numbers of at most 18
-    digits, take a vectorized Knuth multiplicative hash (it decorrelates
-    the bucket from id ranges: a plain modulo maps strided ids to one
-    bucket and contiguous ids to one partition); any other key takes a
-    crc32 row loop over its string form.  The path is chosen PER VALUE,
-    never per batch, so the same key lands in the same bucket whatever
-    its batch neighbours are.  ``salt`` (int64, one per row) mixes a
-    secondary key into the hash: rows route by (key, salt)."""
+    Integer keys, and string keys that are ASCII decimal numbers of at
+    most 18 digits, take a vectorized Knuth multiplicative hash (it
+    decorrelates the bucket from id ranges: a plain modulo maps strided
+    ids to one bucket and contiguous ids to one partition); any other
+    key takes a crc32 row loop over its string form.  The path is chosen
+    PER VALUE, never per batch, so the same key lands in the same bucket
+    whatever its batch neighbours are.  ``salt`` (int64, one per row)
+    mixes a secondary key into the hash: rows route by (key, salt)."""
     if isinstance(col, np.ndarray):
         col = pa.array(col)
     if isinstance(col, pa.ChunkedArray):
@@ -88,11 +102,13 @@ def wide_bucket(col, salt: np.ndarray | None = None) -> np.ndarray:
         strs = None
     else:
         strs = pc.cast(col, pa.string())
-        # <=18 digits so the int64 cast below cannot overflow; is_decimal
-        # + length are plain C kernels (a regex here cost as much as the
-        # crc loop)
+        # <=18 digits so the int64 cast below cannot overflow; ASCII
+        # because utf8_is_decimal also accepts other scripts' digits
+        # ("١٢٣", "２０"), which the int64 cast rejects; all three are
+        # plain C kernels (a regex here cost as much as the crc loop)
         mask = pc.and_(
-            pc.utf8_is_decimal(strs), pc.less_equal(pc.utf8_length(strs), 18)
+            pc.and_(pc.utf8_is_decimal(strs), pc.string_is_ascii(strs)),
+            pc.less_equal(pc.utf8_length(strs), 18),
         )
         numeric = mask.to_numpy(zero_copy_only=False)
         ints = None
