@@ -73,9 +73,10 @@ def test_foreign_source_dir_is_wiped(ray_session, monkeypatch, tmp_path):
 
 def test_code_fingerprint_changes_cache_dir(monkeypatch):
     from web_content_extraction_benchmark_ray.pipelines import extractcache as ec
+    from web_content_extraction_benchmark_ray.state import memo
 
     d1 = ec._cache_dir(SF)
-    monkeypatch.setattr(ec, "_CODE_FP", "deadbeef")
+    monkeypatch.setattr(memo, "_CODE_FP", "deadbeef")
     assert ec._cache_dir(SF) != d1
     assert ec._cache_dir(SF).endswith("-deadbeef")
 

@@ -12,6 +12,7 @@ North-rule requirements under test:
   between its commit steps resumes without duplicates.
 """
 import hashlib
+import json
 import os
 import shutil
 import zlib
@@ -24,6 +25,8 @@ from test_skew import pathological_spans  # noqa: F401  (fixture)
 
 from web_content_extraction_benchmark_ray.schema import SPAN_STRUCT
 from web_content_extraction_benchmark_ray.sources.synth import build_spans_table
+
+SF = "/root/testdata/sf0.001"
 
 
 def _spans_ds(ray, rows):
@@ -101,15 +104,16 @@ def test_salted_equals_unsalted(ray_session, chunks, salt_range):
     ]
 
 
-def test_checkpoint_resume(ray_session, tmp_path):
+def test_checkpoint_resume(ray_session, tmp_path, job_pids):
     from web_content_extraction_benchmark_ray.state.checkpoint import (
+        SEAL,
         completed_partitions,
         read_lineage,
         read_output,
         run_checkpointed,
     )
 
-    spans = build_spans_table("/root/testdata/sf0.001")
+    spans = build_spans_table(SF)
     out_dir = str(tmp_path / "ckpt")
     models = ("bte",)
 
@@ -124,12 +128,23 @@ def test_checkpoint_resume(ray_session, tmp_path):
         pid: os.path.getmtime(os.path.join(out_dir, f"part-{pid:05d}"))
         for pid in completed_partitions(out_dir)
     }
+    seals = {}
+    for pid in set(range(4)) - set(first_lineage):
+        with open(os.path.join(_part(out_dir, pid) + ".tmp", SEAL)) as f:
+            seals[pid] = json.load(f)["record"]
 
-    # resume: only the remaining partitions run
+    # resume: only the remaining partitions commit, from their seals,
+    # with no second pipeline job
     new = run_checkpointed(spans, out_dir, models=models, num_partitions=4)
-    assert sorted(r["partition_id"] for r in new) == sorted(
-        set(range(4)) - set(first_lineage)
-    )
+    assert job_pids == [[0, 1, 2, 3]]
+    assert sorted(r["partition_id"] for r in new) == sorted(seals)
+    for rec in new:
+        sealed = seals[rec["partition_id"]]
+        assert rec == {**sealed, "wall_ms": rec["wall_ms"]}
+        assert rec["wall_ms"] >= sealed["wall_ms"]
+    assert not [
+        (d, f) for d, _, fs in os.walk(out_dir) for f in fs if f == SEAL
+    ]
     assert completed_partitions(out_dir) == {0, 1, 2, 3}
     for pid, old_mtime in mtimes.items():  # no recompute of completed parts
         assert os.path.getmtime(
@@ -171,7 +186,7 @@ def test_heavy_lane_and_salted_equal_plain(ray_session):
         extraction_pipeline,
     )
 
-    spans = build_spans_table("/root/testdata/sf0.001", heavy_tail=True)
+    spans = build_spans_table(SF, heavy_tail=True)
 
     def norm(ds):
         return (
@@ -294,7 +309,7 @@ def test_resume_recomputes_committed_partition_without_manifest(
         run_checkpointed,
     )
 
-    spans = build_spans_table("/root/testdata/sf0.001")
+    spans = build_spans_table(SF)
     out_dir = str(tmp_path / "ckpt")
     with pytest.raises(RuntimeError, match="injected crash"):
         run_checkpointed(
@@ -322,7 +337,7 @@ def test_resume_clears_stale_tmp_partition(ray_session, tmp_path):
         run_checkpointed,
     )
 
-    spans = build_spans_table("/root/testdata/sf0.001")
+    spans = build_spans_table(SF)
     out_dir = str(tmp_path / "ckpt")
     with pytest.raises(RuntimeError, match="injected crash"):
         run_checkpointed(
@@ -396,19 +411,36 @@ def count_scans(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def job_pids(monkeypatch):
+    """The partition set of every ``extraction_pipeline`` job a
+    checkpoint run starts."""
+    from web_content_extraction_benchmark_ray.state import checkpoint
+
+    calls = []
+    run = checkpoint.extraction_pipeline
+
+    def recording(*args, partition, **kwargs):
+        calls.append(sorted(partition[0]))
+        return run(*args, partition=partition, **kwargs)
+
+    monkeypatch.setattr(checkpoint, "extraction_pipeline", recording)
+    return calls
+
+
 @pytest.mark.parametrize("num_partitions", [4, 8])
 def test_checkpoint_scans_spans_once(
     ray_session, tmp_path, count_scans, num_partitions
 ):
-    """One invocation scans the spans table once, however many
-    partitions are pending: a crash run, its resume and a fresh full run
-    each read it exactly once."""
+    """One invocation scans the spans table at most once, however many
+    partitions are pending: the crash run reads it exactly once, and its
+    resume commits the partitions that run sealed without reading it."""
     from web_content_extraction_benchmark_ray.state.checkpoint import (
         completed_partitions,
         run_checkpointed,
     )
 
-    spans = build_spans_table("/root/testdata/sf0.001")
+    spans = build_spans_table(SF)
     out_dir = str(tmp_path / "ckpt")
     with pytest.raises(RuntimeError, match="injected crash"):
         run_checkpointed(spans, out_dir, models=("bte",),
@@ -416,12 +448,37 @@ def test_checkpoint_scans_spans_once(
     assert count_scans == [spans]
     run_checkpointed(spans, out_dir, models=("bte",),
                      num_partitions=num_partitions)
-    assert count_scans == [spans] * 2
+    assert count_scans == [spans]
     assert completed_partitions(out_dir) == set(range(num_partitions))
     # nothing pending: no job at all
     assert run_checkpointed(spans, out_dir, models=("bte",),
                             num_partitions=num_partitions) == []
-    assert count_scans == [spans] * 2
+    assert count_scans == [spans]
+
+
+def test_resume_without_seals_scans_once(ray_session, tmp_path, count_scans):
+    """With the seals removed, the resume recomputes every pending
+    partition in one job: one more scan, not one per partition."""
+    from web_content_extraction_benchmark_ray.state.checkpoint import (
+        SEAL,
+        completed_partitions,
+        read_output,
+        run_checkpointed,
+    )
+
+    spans = build_spans_table(SF)
+    out_dir = str(tmp_path / "ckpt")
+    with pytest.raises(RuntimeError, match="injected crash"):
+        run_checkpointed(spans, out_dir, models=("bte",),
+                         num_partitions=8, fail_after=1)
+    for pid in set(range(8)) - completed_partitions(out_dir):
+        os.remove(os.path.join(_part(out_dir, pid) + ".tmp", SEAL))
+    count_scans.clear()
+    run_checkpointed(spans, out_dir, models=("bte",), num_partitions=8)
+    assert count_scans == [spans]
+    out = read_output(out_dir).to_pandas()
+    assert out["doc_id"].is_unique
+    assert len(out) == 500
 
 
 def test_checkpoint_scans_once_per_lane(
@@ -514,7 +571,7 @@ def test_lineage_counts_match_a_recount(ray_session, tmp_path):
             raise ValueError("synthetic failure")
         return html[:10]
 
-    spans = build_spans_table("/root/testdata/sf0.001")
+    spans = build_spans_table(SF)
     out_dir = str(tmp_path / "ckpt")
     with pytest.raises(RuntimeError, match="injected crash"):
         run_checkpointed(spans, out_dir, models=("bte", ("flaky", flaky)),
@@ -531,3 +588,248 @@ def test_lineage_counts_match_a_recount(ray_session, tmp_path):
         assert rec["models"] == ["bte", "flaky"]
     assert sum(r["doc_count"] for r in lineage) == 500
     assert sum(r["error_count"] for r in lineage) > 0
+
+
+def _break_seal(case, spans, out_dir, victim, models, monkeypatch):
+    """Invalidate the victim partition's seal, or the whole job key, the
+    way ``case`` names; returns the resume's keyword arguments."""
+    import pyarrow.parquet as pq
+
+    from web_content_extraction_benchmark_ray.state import memo
+    from web_content_extraction_benchmark_ray.state.checkpoint import SEAL
+
+    tmp_dir = _part(out_dir, victim) + ".tmp"
+    slices = sorted(f for f in os.listdir(tmp_dir) if f.endswith(".parquet"))
+    src = os.path.join(spans, sorted(os.listdir(spans))[0])
+    kw = {"models": models, "num_partitions": 4}
+    if case == "no_seal":
+        os.remove(os.path.join(tmp_dir, SEAL))
+    elif case == "extra_file":  # a stray copy: its rows would repeat
+        shutil.copy(os.path.join(tmp_dir, slices[0]),
+                    os.path.join(tmp_dir, "stray.parquet"))
+    elif case == "missing_file":
+        os.remove(os.path.join(tmp_dir, slices[0]))
+    elif case == "resized_file":
+        path = os.path.join(tmp_dir, slices[0])
+        t = pq.read_table(path)
+        pq.write_table(t.slice(0, t.num_rows // 2), path)
+    elif case == "input_mtime":
+        st = os.stat(src)
+        os.utime(src, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    elif case == "input_size":  # same rows, new size, same mtime
+        st = os.stat(src)
+        pq.write_table(pq.read_table(src), src, compression="none")
+        os.utime(src, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert os.stat(src).st_size != st.st_size
+    elif case == "models":
+        kw["models"] = ("bte", "justext")
+    elif case == "partitions":
+        kw["num_partitions"] = 8
+    elif case == "code":
+        monkeypatch.setattr(memo, "_CODE_FP", "0" * 8)
+    return kw
+
+
+@pytest.mark.parametrize("case", [
+    "no_seal", "extra_file", "missing_file", "resized_file", "input_mtime",
+    "input_size", "models", "partitions", "code", "callable",
+])
+def test_invalid_seal_recomputes(ray_session, tmp_path, monkeypatch,
+                                 job_pids, case):
+    """A seal is reused only when its job key (input files, models, P,
+    code) matches and its file list matches the directory.  A broken
+    partition seal recomputes that partition only; a changed job key, or
+    a ``(name, callable)`` model (never sealed), recomputes every pending
+    partition; and the output has each doc once."""
+    from web_content_extraction_benchmark_ray.state.checkpoint import (
+        SEAL,
+        completed_partitions,
+        read_output,
+        run_checkpointed,
+    )
+
+    spans = str(tmp_path / "spans")
+    shutil.copytree(build_spans_table(SF), spans)
+    out_dir = str(tmp_path / "ckpt")
+
+    def upper(html):  # a closure: Ray workers get it by value
+        return html.upper()
+
+    models = ("bte", ("upper", upper)) if case == "callable" else ("bte",)
+    with pytest.raises(RuntimeError, match="injected crash"):
+        run_checkpointed(spans, out_dir, models=models, num_partitions=4,
+                         fail_after=1)
+    done = completed_partitions(out_dir)
+    pending = sorted(set(range(4)) - done)
+    victim = pending[0]
+    sealed = {
+        pid for pid in pending
+        if os.path.exists(os.path.join(_part(out_dir, pid) + ".tmp", SEAL))
+    }
+    assert sealed == (set() if case == "callable" else set(pending))
+    kw = _break_seal(case, spans, out_dir, victim, models, monkeypatch)
+
+    job_pids.clear()
+    run_checkpointed(spans, out_dir, **kw)
+    p = kw["num_partitions"]
+    if case in ("no_seal", "extra_file", "missing_file", "resized_file"):
+        assert job_pids == [[victim]]
+    else:
+        assert job_pids == [sorted(set(range(p)) - done)]
+    assert completed_partitions(out_dir) == set(range(p))
+    if case not in ("models", "partitions"):
+        out = read_output(out_dir).to_pandas()
+        assert len(out) == 500 * len(models)
+        assert not out.duplicated(["doc_id", "model"]).any()
+
+
+def test_driver_death_before_sealing_recomputes_all(
+    ray_session, tmp_path, monkeypatch, job_pids
+):
+    """The driver dies after the job's sink stats arrive but before any
+    seal is written: the ``.tmp`` directories hold slices and no seal, so
+    the resume recomputes every pending partition, and the output equals
+    an uninterrupted run row for row."""
+    from web_content_extraction_benchmark_ray.pipelines.extraction import (
+        extraction_pipeline,
+    )
+    from web_content_extraction_benchmark_ray.state import checkpoint
+
+    def killed(*args, **kwargs):
+        raise KeyboardInterrupt("driver killed")
+
+    spans = build_spans_table(SF)
+    out_dir = str(tmp_path / "ckpt")
+    write_seal = checkpoint._write_seal
+    monkeypatch.setattr(checkpoint, "_write_seal", killed)
+    with pytest.raises(KeyboardInterrupt):
+        checkpoint.run_checkpointed(spans, out_dir, models=("bte",),
+                                    num_partitions=4)
+    monkeypatch.setattr(checkpoint, "_write_seal", write_seal)
+    assert checkpoint.completed_partitions(out_dir) == set()
+    leftovers = [
+        f for pid in range(4)
+        for f in os.listdir(_part(out_dir, pid) + ".tmp")
+    ]
+    assert leftovers and checkpoint.SEAL not in leftovers
+
+    checkpoint.run_checkpointed(spans, out_dir, models=("bte",),
+                                num_partitions=4)
+    assert job_pids == [[0, 1, 2, 3]] * 2
+    got = _norm(checkpoint.read_output(out_dir).to_pandas())
+    want = _norm(extraction_pipeline(spans, models=("bte",)).to_pandas())
+    assert got.equals(want)
+    assert got["doc_id"].is_unique
+
+
+def test_read_output_with_no_committed_rows(ray_session, tmp_path):
+    """``read_output`` of a fresh directory, and of a run over a spans
+    table with no docs, is an empty Dataset of the EXTRACTIONS schema."""
+    import pyarrow.parquet as pq
+
+    from web_content_extraction_benchmark_ray.schema import EXTRACTIONS
+    from web_content_extraction_benchmark_ray.state.checkpoint import (
+        completed_partitions,
+        read_output,
+        run_checkpointed,
+    )
+
+    def check(ds):
+        assert ds.count() == 0
+        assert ds.schema().base_schema == EXTRACTIONS
+
+    check(read_output(str(tmp_path / "fresh")))
+    src = tmp_path / "spans"
+    src.mkdir()
+    pq.write_table(
+        pa.table({"doc_id": pa.array([], pa.string()),
+                  "spans": pa.array([], pa.list_(SPAN_STRUCT))}),
+        str(src / "part-0.parquet"),
+    )
+    out_dir = str(tmp_path / "ckpt")
+    run_checkpointed(str(src), out_dir, models=("bte",), num_partitions=2)
+    assert completed_partitions(out_dir) == {0, 1}
+    check(read_output(out_dir))
+
+
+def test_lane_predicates_keep_the_block_schema(
+    ray_session, pathological_spans  # noqa: F811
+):
+    """The heavy lane's source step empties most read blocks of the
+    pathological table; every block of either lane leaves the step with
+    the sort's schema, never as a block with no columns."""
+    from web_content_extraction_benchmark_ray.pipelines.extraction import (
+        _lane_rows,
+    )
+    from web_content_extraction_benchmark_ray.sources.storage import read_spans
+
+    ids_ref = ray_session.put(["9999"])
+    span_cols = ["doc_id", "kind", "text", "media_ref", "offset"]
+    for keep, salted, cols in (
+        (False, False, span_cols + ["bucket"]),
+        (True, True, span_cols + ["salt", "bucket"]),
+    ):
+        rows = read_spans(pathological_spans).map_batches(
+            _lane_rows,
+            fn_kwargs={"partition": None, "ids_ref": ids_ref, "keep": keep,
+                       "salted": salted},
+            batch_format="pyarrow",
+        )
+        blocks = ray_session.get(rows.to_arrow_refs())
+        assert keep is False or any(b.num_rows == 0 for b in blocks)
+        assert [b.schema.names for b in blocks] == [cols] * len(blocks)
+
+
+def test_one_pending_partition_logs_no_schema_mismatch(
+    ray_session, pathological_spans, tmp_path, capfd  # noqa: F811
+):
+    """A checkpoint run whose one pending partition (of 64) misses some
+    read blocks: its source predicate empties them.  The source
+    operator logs no schema mismatch (only its rows carry ``bucket``;
+    the heavy lane is empty throughout, and the operator after the sort
+    writes slice stats), and the partition's rows equal the plain
+    pipeline's rows of that partition."""
+    import pyarrow.parquet as pq
+
+    from web_content_extraction_benchmark_ray.pipelines.extraction import (
+        _lane_rows,
+        extraction_pipeline,
+    )
+    from web_content_extraction_benchmark_ray.sources.storage import read_spans
+    from web_content_extraction_benchmark_ray.stages.skew import partition_of
+    from web_content_extraction_benchmark_ray.state.checkpoint import (
+        run_checkpointed,
+    )
+
+    def source_blocks(pid):
+        return ray_session.get(read_spans(pathological_spans).map_batches(
+            _lane_rows,
+            fn_kwargs={"partition": ([pid], 64), "ids_ref": None,
+                       "keep": None, "salted": False},
+            batch_format="pyarrow",
+        ).to_arrow_refs())
+
+    pid = next(
+        p for p in range(64) if p != partition_of("9999", 64)
+        and len({b.num_rows == 0 for b in source_blocks(p)}) == 2
+    )
+    out_dir = str(tmp_path / "ckpt")
+    os.makedirs(os.path.join(out_dir, "_manifest"))
+    for done in set(range(64)) - {pid}:  # every other partition committed
+        with open(os.path.join(out_dir, "_manifest",
+                               f"part-{done:05d}.json"), "w") as f:
+            json.dump({"partition_id": done}, f)
+    capfd.readouterr()
+    (rec,) = run_checkpointed(pathological_spans, out_dir, models=("bte",),
+                              num_partitions=64)
+    err = capfd.readouterr().err
+    assert rec["partition_id"] == pid and rec["doc_count"] > 0
+    mismatches = err.split("Operator produced a RefBundle")[1:]
+    assert not [m for m in mismatches if "bucket: int32" in m]
+
+    got = _norm(pq.read_table(_part(out_dir, pid)).to_pandas())
+    want = _norm(
+        extraction_pipeline(pathological_spans, models=("bte",)).to_pandas()
+    )
+    want = want[[partition_of(d, 64) == pid for d in want["doc_id"]]]
+    assert got.equals(want.reset_index(drop=True))

@@ -49,42 +49,17 @@ import ray.data
 from ..state.memo import (
     CACHE_ROOT,
     artifact_root,
+    code_fingerprint,
     drop_other_versions,
     source_key,
 )
-
-_CODE_FP: str | None = None
-
-
-def _code_fingerprint() -> str:
-    """Package-source fingerprint (relpath + mtime + size of every .py).
-    Part of the cache key so an edited extractor can never serve stale
-    cached rows."""
-    global _CODE_FP
-    if _CODE_FP is None:
-        import web_content_extraction_benchmark_ray as pkg
-
-        root = os.path.dirname(pkg.__file__)
-        h = hashlib.md5()
-        for dirpath, _, files in sorted(os.walk(root)):
-            for fn in sorted(files):
-                if fn.endswith(".py"):
-                    p = os.path.join(dirpath, fn)
-                    st = os.stat(p)
-                    h.update(
-                        f"{os.path.relpath(p, root)}:{st.st_mtime_ns}:"
-                        f"{st.st_size};".encode()
-                    )
-        _CODE_FP = h.hexdigest()[:8]
-    return _CODE_FP
-
 
 def _cache_dir(sf_dir: str) -> str:
     docs = source_key(os.path.join(sf_dir, "documents.parquet"))
     version = hashlib.md5(repr(docs).encode()).hexdigest()[:16]
     return os.path.join(
         artifact_root("extract", sf_dir, CACHE_ROOT),
-        f"{version}-{_code_fingerprint()}",
+        f"{version}-{code_fingerprint()}",
     )
 
 

@@ -1,11 +1,13 @@
 """The flagship pipeline: spans table -> reassembly shuffle -> extraction.
 
-Ray shape: ``read_spans`` (2 blocks per CPU) -> ``reassemble`` (explode
--> wide-space bucket key -> one sort exchange -> per-partition
-``assemble_group``) -> ``map_batches(extract_batch)`` as plain-function
-tasks.  Per-block granularity replaces the reference's coarse (model x
-dataset) process-pool jobs, so retries and skew shrink from "one dataset
-x model" to "one block".
+Ray shape: ``read_spans`` (2 blocks per CPU) -> one ``_lane_rows`` map
+per read block (source predicates, explode, wide-space bucket key) ->
+one sort exchange (``shuffle.co_partition``) -> per-partition
+``assemble_group`` -> ``map_batches(extract_batch)``, all as
+plain-function tasks; this is ``stages/reassemble.reassemble`` with the
+lane predicates fused into its first step.  Per-block granularity
+replaces the reference's coarse (model x dataset) process-pool jobs, so
+retries and skew shrink from "one dataset x model" to "one block".
 
 Skew handling is automatic (stages/skew.py): a footer probe and, only
 when it is suspicious, a per-doc size census name the oversized docs;
@@ -26,8 +28,14 @@ import ray.data
 
 from ..sources.storage import read_spans, table_files
 from ..stages.extract import DEFAULT_MODELS, extract_batch
-from ..stages.reassemble import reassemble, reassemble_salted
-from ..stages.shuffle import partition_count
+from ..stages.reassemble import (
+    add_salt_bucket,
+    assemble_group,
+    assemble_salted,
+    explode_spans,
+)
+from ..stages.shuffle import add_bucket, co_partition, partition_count
+from ..stages.skew import filter_doc_ids, filter_partition
 from ..state.memo import memo
 
 
@@ -79,16 +87,21 @@ def _resolve_heavy_ids_uncached(spans_path, heavy_lane_bytes, salted):
     return ids, salted is True  # "auto": salt only the heavy lane
 
 
-def _assemble(ds, spans_path, salted):
-    # salted: two-phase skew-resistant reassembly (same output) for inputs
-    # with pathological span-count tails — see stages/reassemble.py
-    if salted:
-        return reassemble_salted(ds)
-    # size-aware partitioning: the caller knows the table's on-disk
-    # bytes, so partitions never exceed ~64 MiB regardless of cluster
-    # shape
-    nbytes = sum(os.path.getsize(f) for f in table_files(spans_path))
-    return reassemble(ds, partitions=partition_count(nbytes))
+def _lane_rows(batch, partition, ids_ref, keep, salted):
+    """A lane's whole source step, in ONE map call: the checkpoint
+    partition predicate, the heavy-id predicate, ``explode_spans`` and
+    the routing column (``add_salt_bucket`` when ``salted``, else
+    ``add_bucket`` on doc_id).  Ray never calls a map on a 0-row block:
+    it passes on a block with no columns, and every operator that then
+    sees it next to real blocks logs a schema mismatch.  A predicate
+    that empties a block therefore shares its call with every step up
+    to the sort, so the empty block leaves with the sort's schema."""
+    if partition is not None:
+        batch = filter_partition(batch, *partition)
+    if ids_ref is not None:
+        batch = filter_doc_ids(batch, ids_ref, keep)
+    rows = explode_spans(batch)
+    return add_salt_bucket(rows) if salted else add_bucket(rows)
 
 
 def extraction_pipeline(
@@ -113,7 +126,6 @@ def extraction_pipeline(
     routing decision is still made over the whole table, so it does not
     depend on which partitions are pending."""
     from ..functions.extractors import list_extractors
-    from ..stages.skew import filter_doc_ids, filter_partition
 
     unknown = [m for m in models if isinstance(m, str) and m not in list_extractors()]
     if unknown:
@@ -123,16 +135,30 @@ def extraction_pipeline(
     heavy_lane_salted = salted is not False  # explicit False wins everywhere
     heavy_ids, salted = _resolve_heavy_ids(spans_path, heavy_lane_bytes, salted)
 
-    def source():
-        ds = read_spans(spans_path)
-        if partition is not None:
-            pids, num_partitions = partition
-            ds = ds.map_batches(
-                filter_partition,
-                fn_kwargs={"pids": sorted(pids), "num_partitions": num_partitions},
-                batch_format="pyarrow",
-            )
-        return ds
+    if partition is not None:
+        partition = (sorted(partition[0]), partition[1])
+
+    def lane(salted, ids_ref=None, keep=None):
+        rows = read_spans(spans_path).map_batches(
+            _lane_rows,
+            fn_kwargs={
+                "partition": partition,
+                "ids_ref": ids_ref,
+                "keep": keep,
+                "salted": salted,
+            },
+            batch_format="pyarrow",
+        )
+        # salted: two-phase skew-resistant reassembly (same output) for
+        # inputs with pathological span-count tails (stages/reassemble.py)
+        if salted:
+            return assemble_salted(rows)
+        # size-aware partitioning: the caller knows the table's on-disk
+        # bytes, so partitions never exceed ~64 MiB regardless of cluster
+        # shape
+        nbytes = sum(os.path.getsize(f) for f in table_files(spans_path))
+        return co_partition(rows, assemble_group,
+                            partitions=partition_count(nbytes))
 
     def extract(ds, size):
         return ds.map_batches(
@@ -143,7 +169,7 @@ def extraction_pipeline(
         )
 
     if not heavy_ids:
-        return extract(_assemble(source(), spans_path, salted), batch_size)
+        return extract(lane(salted), batch_size)
     # Two-lane routing, split AT THE SOURCE by a broadcast id predicate:
     # oversized docs go through a salted reassembly and a batch_size=1
     # extract so a 50 MB pathological page never pins a plain-reassembly
@@ -151,19 +177,6 @@ def extraction_pipeline(
     # each lane is an independent streaming read; the heavy lane prunes
     # to a handful of docs immediately.
     ids_ref = ray.put(heavy_ids)
-
-    def lane(keep: bool):
-        return source().map_batches(
-            filter_doc_ids,
-            fn_kwargs={"ids_ref": ids_ref, "keep": keep},
-            batch_format="pyarrow",
-        )
-
-    out_light = extract(_assemble(lane(False), spans_path, salted), batch_size)
-    heavy = lane(True)
-    out_heavy = extract(
-        reassemble_salted(heavy) if heavy_lane_salted
-        else _assemble(heavy, spans_path, False),
-        1,
-    )
+    out_light = extract(lane(salted, ids_ref, keep=False), batch_size)
+    out_heavy = extract(lane(heavy_lane_salted, ids_ref, keep=True), 1)
     return out_light.union(out_heavy)

@@ -231,6 +231,12 @@ def reassemble_salted(ds, salt_range: int = DEFAULT_SALT_RANGE):
         add_salt_bucket, fn_kwargs={"salt_range": salt_range},
         batch_format="pyarrow",
     )
-    partials = co_partition(ds, partial_assemble_group)
+    return assemble_salted(ds)
+
+
+def assemble_salted(rows):
+    """Both phases of the salted reassembly over span rows that already
+    carry ``salt`` and ``bucket`` (``add_salt_bucket``)."""
+    partials = co_partition(rows, partial_assemble_group)
     # phase 2: plain reassembly over the (much smaller) partial-span set
     return co_partition(partials, assemble_group, key="doc_id")

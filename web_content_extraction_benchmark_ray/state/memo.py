@@ -15,8 +15,8 @@ Three helpers hold every cache of derived state in the library:
   same driver process.
 - ``cached_parquet(name, sf_dir, build_ds)`` is the on-disk table cache
   under ``CACHE_ROOT``.  The table directory's name carries the source
-  fingerprint and the package code fingerprint, so a rewritten input or
-  an edited extractor never serves an old table.
+  fingerprint and the package code fingerprint (``code_fingerprint``),
+  so a rewritten input or an edited extractor never serves an old table.
 
 Every on-disk artifact lives in one version directory under its
 ``artifact_root(name, sf_dir)``, and a fresh build removes the older
@@ -42,6 +42,7 @@ FETCH_SLOTS = 8
 _FETCHED: OrderedDict = OrderedDict()  # ref hex -> value, per process
 _FETCH_LOCK = threading.Lock()
 _MEMO: dict = {}  # name -> (key, value), driver process
+_CODE_FP: str | None = None
 
 
 def file_key(path: str) -> tuple[str, int, int]:
@@ -58,6 +59,29 @@ def file_key(path: str) -> tuple[str, int, int]:
 def source_key(source: str) -> tuple:
     """``file_key`` of every data file of a table path or directory."""
     return tuple(file_key(f) for f in table_files(source))
+
+
+def code_fingerprint() -> str:
+    """Package-source fingerprint (relpath + mtime + size of every .py).
+    Part of every on-disk cache and checkpoint key, so an edited
+    extractor never serves stale derived rows."""
+    global _CODE_FP
+    if _CODE_FP is None:
+        import web_content_extraction_benchmark_ray as pkg
+
+        root = os.path.dirname(pkg.__file__)
+        h = hashlib.md5()
+        for dirpath, _, files in sorted(os.walk(root)):
+            for fn in sorted(files):
+                if fn.endswith(".py"):
+                    p = os.path.join(dirpath, fn)
+                    st = os.stat(p)
+                    h.update(
+                        f"{os.path.relpath(p, root)}:{st.st_mtime_ns}:"
+                        f"{st.st_size};".encode()
+                    )
+        _CODE_FP = h.hexdigest()[:8]
+    return _CODE_FP
 
 
 def fetch(ref):
@@ -120,11 +144,9 @@ def cached_parquet(name: str, sf_dir: str, build_ds) -> str:
     built once per (source fingerprint, code fingerprint).  A marker
     written after the table marks it complete; a rebuild first removes
     every older table of the same (name, sf_dir)."""
-    from ..pipelines.extractcache import _code_fingerprint
-
     fp = hashlib.md5(repr(source_key(sf_dir)).encode()).hexdigest()[:16]
     root = artifact_root(name, sf_dir)
-    out = os.path.join(root, f"{fp}-{_code_fingerprint()}")
+    out = os.path.join(root, f"{fp}-{code_fingerprint()}")
     marker = os.path.join(out, "_SOURCE")
     if not os.path.exists(marker):
         shutil.rmtree(root, ignore_errors=True)
