@@ -36,12 +36,15 @@ DEFAULT_CPUS = int(
 HEADLINE_MODELS = ("bte", "justext", "density", "readability", "tagclean")
 
 
-def _consume(ds) -> int:
-    """Execute a lazy Dataset fully (distributed count — rows are counted
-    on the workers, never pulled through the driver) and return the row
-    count.  A driver-side iter_batches pull was measured to serialize the
-    tail of the pipeline and cap scaling."""
-    return ds.count() if hasattr(ds, "count") else len(ds)
+def _consume(res) -> int:
+    """Row count of a query result.  A lazy Dataset executes fully with a
+    distributed count (rows are counted on the workers, never pulled
+    through the driver: a driver-side iter_batches pull was measured to
+    serialize the tail of the pipeline and cap scaling); a DataFrame or
+    table is already materialized and counts with ``len``."""
+    import ray.data
+
+    return res.count() if isinstance(res, ray.data.Dataset) else len(res)
 
 
 def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False,
@@ -129,17 +132,13 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False,
         timed("extract_multi", _extract_to_cache)
 
     if not headline_only:
-        from web_content_extraction_benchmark_ray.pipelines import queries as q
-
         # The scores/complexity tables are computed once per (corpus, code
-        # version) and cached under /tmp (state/memo.cached_parquet); with a warm cache the eval/complexity query
-        # timings only measure parquet re-reads.  Clear the caches and
-        # time the builds as their OWN entries (single timing — a second
+        # version) and cached under /tmp (state/memo.cached_parquet); with
+        # a warm cache the eval/complexity query timings only measure
+        # parquet re-reads.  Clear the caches and time the builds as their OWN entries (single timing — a second
         # trial would be a cache hit), so the real DOM-walk/scoring
         # compute appears in the reported totals and the per-query
         # numbers honestly measure their marginal cost.
-        import time as _time
-
         from web_content_extraction_benchmark_ray.state.memo import clear_parquet
 
         for _name in ("scores", "complexity"):
@@ -151,209 +150,18 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False,
             _scores_parquet,
         )
 
-        _t0 = _time.perf_counter()
+        _t0 = time.perf_counter()
         _scores_parquet(sf_dir)
-        timings["scores_build"] = round(_time.perf_counter() - _t0, 3)
-        _t0 = _time.perf_counter()
+        timings["scores_build"] = round(time.perf_counter() - _t0, 3)
+        _t0 = time.perf_counter()
         complexity_parquet(sf_dir)
-        timings["complexity_build"] = round(_time.perf_counter() - _t0, 3)
+        timings["complexity_build"] = round(time.perf_counter() - _t0, 3)
 
-        timed("extract_article",
-              lambda: _consume(q.extract_article(sf_dir)))
-        timed("eval_scores", lambda: _consume(q.eval_rouge(sf_dir)))
-        timed("eval_agg", lambda: _consume(q.eval_agg_by_dataset(sf_dir)))
-        timed("complexity", lambda: _consume(q.complexity(sf_dir)))
-        timed("html_features", lambda: _consume(q.html_features(sf_dir)))
-        timed("eval_score_histogram",
-              lambda: _consume(q.eval_score_histogram(sf_dir)))
-        try:
-            from web_content_extraction_benchmark_ray.pipelines import (
-                scatter as sc,
-            )
+        # every registered driver query, under its registry name
+        import __ray_entry__
 
-            timed("scatter_clusters",
-                  lambda: _consume(sc.scatter_clusters(sf_dir)))
-            timed("scatter_classes",
-                  lambda: _consume(sc.scatter_classes(sf_dir)))
-            timed("complexity_by_dataset",
-                  lambda: _consume(sc.complexity_by_dataset(sf_dir)))
-        except ImportError:
-            pass
-        try:
-            from web_content_extraction_benchmark_ray.pipelines import dataops as d
-
-            timed("dedup_exact", lambda: _consume(d.dedup_exact(sf_dir)))
-            timed("dedup_exact_norm",
-                  lambda: _consume(d.dedup_exact_norm(sf_dir)))
-            timed("dedup_incremental",
-                  lambda: _consume(d.dedup_incremental(sf_dir)))
-            timed("dedup_incremental_minhash",
-                  lambda: _consume(d.dedup_incremental_minhash(sf_dir)))
-            timed("dedup_minhash", lambda: _consume(d.dedup_minhash_pairs(sf_dir)))
-            timed("decontaminate_fuzzy",
-                  lambda: _consume(d.decontaminate_fuzzy(sf_dir)))
-            timed("decontaminate_fuzzy_survivors",
-                  lambda: _consume(d.decontaminate_fuzzy_survivors(sf_dir)))
-            timed("dedup_simhash", lambda: _consume(d.dedup_simhash_pairs(sf_dir)))
-            timed("dedup_jaccard", lambda: _consume(d.dedup_ngram_jaccard(sf_dir)))
-            timed("dedup_fingerprint",
-                  lambda: _consume(d.dedup_fingerprint_pairs(sf_dir)))
-            timed("knn_cosine", lambda: _consume(d.knn_cosine(sf_dir)))
-            timed("pq_encode", lambda: _consume(d.pq_encode(sf_dir)))
-            timed("pq_search", lambda: _consume(d.pq_search(sf_dir)))
-            timed("ann_recall", lambda: _consume(d.ann_recall(sf_dir)))
-            timed("knn_ivf", lambda: _consume(d.knn_ivf(sf_dir)))
-            timed("knn_ivf_trained",
-                  lambda: _consume(d.knn_ivf_trained(sf_dir)))
-            timed("embedding_dup_pairs",
-                  lambda: _consume(d.embedding_dup_pairs(sf_dir)))
-            timed("semdedup", lambda: _consume(d.semdedup(sf_dir)))
-            timed("dup_cluster_sizes",
-                  lambda: _consume(d.dup_cluster_sizes(sf_dir)))
-            timed("text_quality", lambda: _consume(d.text_quality(sf_dir)))
-            timed("lang_id", lambda: _consume(d.lang_id_q(sf_dir)))
-            timed("doc_fingerprint", lambda: _consume(d.doc_fingerprint(sf_dir)))
-            timed("hash_embed", lambda: _consume(d.hash_embed(sf_dir)))
-            timed("hash_embed_knn",
-                  lambda: _consume(d.hash_embed_knn(sf_dir)))
-            timed("repetition_stats",
-                  lambda: _consume(d.repetition_stats(sf_dir)))
-            timed("unigram_logprob",
-                  lambda: _consume(d.unigram_logprob(sf_dir)))
-            timed("bigram_logprob",
-                  lambda: _consume(d.bigram_logprob(sf_dir)))
-            timed("pdf_extract", lambda: _consume(d.pdf_extract(sf_dir)))
-            timed("media_resize", lambda: _consume(d.media_resize(sf_dir)))
-            timed("media_decode_png",
-                  lambda: _consume(d.media_decode_png(sf_dir)))
-            timed("media_decode_jpeg",
-                  lambda: _consume(d.media_decode_jpeg(sf_dir)))
-            timed("media_frames", lambda: _consume(d.media_frames(sf_dir)))
-            timed("chunk_windows",
-                  lambda: _consume(d.chunk_windows(sf_dir)))
-            timed("cdc_chunks", lambda: _consume(d.cdc_chunks(sf_dir)))
-            timed("dup_span_stats",
-                  lambda: _consume(d.dup_span_stats(sf_dir)))
-            timed("dup_span_scrub",
-                  lambda: _consume(d.dup_span_scrub(sf_dir)))
-            timed("importance_weights",
-                  lambda: _consume(d.importance_weights(sf_dir)))
-            timed("importance_resample",
-                  lambda: _consume(d.importance_resample(sf_dir)))
-        except ImportError:
-            pass
-        try:
-            from web_content_extraction_benchmark_ray.pipelines import (
-                qualityops as qo,
-            )
-
-            timed("gopher_filter", lambda: _consume(qo.gopher_filter(sf_dir)))
-            timed("tfidf_topterms",
-                  lambda: _consume(qo.tfidf_topterms(sf_dir)))
-            timed("line_dedup", lambda: _consume(qo.line_dedup(sf_dir)))
-            timed("distinct_sketch",
-                  lambda: _consume(qo.distinct_sketch(sf_dir)))
-            timed("bm25_score", lambda: _consume(qo.bm25_score(sf_dir)))
-            timed("cooccur_topk",
-                  lambda: _consume(qo.cooccur_topk(sf_dir)))
-            timed("distinct_by_source",
-                  lambda: _consume(qo.distinct_by_source(sf_dir)))
-            timed("length_quantiles",
-                  lambda: _consume(qo.length_quantiles(sf_dir)))
-            timed("score_correlation",
-                  lambda: _consume(qo.score_correlation(sf_dir)))
-            timed("source_overlap",
-                  lambda: _consume(qo.source_overlap(sf_dir)))
-        except ImportError:
-            pass
-        try:
-            from web_content_extraction_benchmark_ray.pipelines import curation as cu
-
-            timed("decontaminate", lambda: _consume(cu.decontaminate(sf_dir)))
-            timed("pack_shards", lambda: _consume(cu.pack_shards(sf_dir)))
-            timed("select_budget", lambda: _consume(cu.select_budget(sf_dir)))
-            timed("source_mix", lambda: _consume(cu.source_mix(sf_dir)))
-            timed("quality_tiers",
-                  lambda: _consume(cu.quality_tiers(sf_dir)))
-            timed("topk_per_source",
-                  lambda: _consume(cu.topk_per_source(sf_dir)))
-            timed("shuffle_order",
-                  lambda: _consume(cu.shuffle_order(sf_dir)))
-            timed("pack_sequences",
-                  lambda: _consume(cu.pack_sequences(sf_dir)))
-            timed("pii_scrub", lambda: _consume(cu.pii_scrub(sf_dir)))
-            timed("curate_corpus",
-                  lambda: _consume(cu.curate_corpus(sf_dir)))
-        except ImportError:
-            pass
-        try:
-            from web_content_extraction_benchmark_ray.pipelines import analytics as an
-
-            timed("vocab_topk", lambda: _consume(an.vocab_topk(sf_dir)))
-            timed("bpe_pairs", lambda: _consume(an.bpe_pairs(sf_dir)))
-            timed("bpe_merges", lambda: _consume(an.bpe_merges(sf_dir)))
-            timed("bpe_encode", lambda: _consume(an.bpe_encode(sf_dir)))
-            timed("kmeans_iterate", lambda: _consume(an.kmeans_iterate(sf_dir)))
-        except ImportError:
-            pass
-        try:
-            from web_content_extraction_benchmark_ray.pipelines import events as ev
-
-            timed("events_window", lambda: _consume(ev.events_window(sf_dir)))
-            timed("events_sessionize",
-                  lambda: _consume(ev.events_sessionize(sf_dir)))
-            timed("events_asof", lambda: _consume(ev.events_asof(sf_dir)))
-            timed("events_sliding",
-                  lambda: _consume(ev.events_sliding(sf_dir)))
-            timed("events_retention",
-                  lambda: _consume(ev.events_retention(sf_dir)))
-            timed("events_funnel",
-                  lambda: _consume(ev.events_funnel(sf_dir)))
-            timed("events_paths",
-                  lambda: _consume(ev.events_paths(sf_dir)))
-            timed("events_watermark",
-                  lambda: _consume(ev.events_watermark(sf_dir)))
-            timed("events_rolling",
-                  lambda: _consume(ev.events_rolling(sf_dir)))
-            timed("events_range_join",
-                  lambda: _consume(ev.events_range_join(sf_dir)))
-            timed("events_lag",
-                  lambda: _consume(ev.events_lag(sf_dir)))
-            timed("events_window_incremental",
-                  lambda: _consume(ev.events_window_incremental(sf_dir)))
-        except ImportError:
-            pass
-        try:
-            from web_content_extraction_benchmark_ray.pipelines import relational as rel
-
-            timed("join_revenue",
-                  lambda: _consume(rel.join_revenue(sf_dir)))
-            timed("docs_rollup",
-                  lambda: len(rel.docs_rollup(sf_dir)))
-            timed("revenue_by_region",
-                  lambda: _consume(rel.revenue_by_region(sf_dir)))
-            timed("parts_stale",
-                  lambda: _consume(rel.parts_stale(sf_dir)))
-        except ImportError:
-            pass
-        try:
-            from web_content_extraction_benchmark_ray.pipelines import graphops as gr
-
-            timed("link_pagerank",
-                  lambda: _consume(gr.link_pagerank(sf_dir)))
-            timed("link_triangles",
-                  lambda: _consume(gr.link_triangles(sf_dir)))
-            timed("link_components",
-                  lambda: _consume(gr.link_components(sf_dir)))
-        except ImportError:
-            pass
-        try:
-            from web_content_extraction_benchmark_ray.pipelines import analytics as an
-
-            timed("vocab_cms",
-                  lambda: _consume(an.vocab_cms(sf_dir)))
-        except ImportError:
-            pass
+        for name, query in __ray_entry__.queries().items():
+            timed(name, lambda query=query: _consume(query(sf_dir)))
 
     extract_sec = timings["extract_multi"]
     docs_per_sec = round(n_docs / extract_sec, 2) if extract_sec else 0.0
@@ -486,7 +294,7 @@ def main() -> None:
 
 
 # The driver records only the last 2000 characters of stdout and parses a
-# JSON line out of that tail; the full 74-query detail line is ~3 KB, so
+# JSON line out of that tail; the full per-query detail line is several KB, so
 # printing it last left round 4's official record with "parsed": null.
 # Keep stdout's FINAL line under the tail window: when the full record
 # fits, print it verbatim (one JSON line, as documented); when it does

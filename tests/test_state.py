@@ -596,7 +596,10 @@ def _break_seal(case, spans, out_dir, victim, models, monkeypatch):
     import pyarrow.parquet as pq
 
     from web_content_extraction_benchmark_ray.state import memo
-    from web_content_extraction_benchmark_ray.state.checkpoint import SEAL
+    from web_content_extraction_benchmark_ray.state.checkpoint import (
+        SEAL,
+        completed_partitions,
+    )
 
     tmp_dir = _part(out_dir, victim) + ".tmp"
     slices = sorted(f for f in os.listdir(tmp_dir) if f.endswith(".parquet"))
@@ -624,6 +627,13 @@ def _break_seal(case, spans, out_dir, victim, models, monkeypatch):
     elif case == "models":
         kw["models"] = ("bte", "justext")
     elif case == "partitions":
+        # committed output of another P raises (see
+        # test_resume_with_other_partition_count_raises); a driver that
+        # died before its first commit leaves only sealed .tmp dirs
+        for pid in completed_partitions(out_dir):
+            shutil.rmtree(_part(out_dir, pid))
+            os.remove(os.path.join(out_dir, "_manifest",
+                                   f"part-{pid:05d}.json"))
         kw["num_partitions"] = 8
     elif case == "code":
         monkeypatch.setattr(memo, "_CODE_FP", "0" * 8)
@@ -668,6 +678,7 @@ def test_invalid_seal_recomputes(ray_session, tmp_path, monkeypatch,
     }
     assert sealed == (set() if case == "callable" else set(pending))
     kw = _break_seal(case, spans, out_dir, victim, models, monkeypatch)
+    done = completed_partitions(out_dir)
 
     job_pids.clear()
     run_checkpointed(spans, out_dir, **kw)
@@ -677,7 +688,7 @@ def test_invalid_seal_recomputes(ray_session, tmp_path, monkeypatch,
     else:
         assert job_pids == [sorted(set(range(p)) - done)]
     assert completed_partitions(out_dir) == set(range(p))
-    if case not in ("models", "partitions"):
+    if case != "models":
         out = read_output(out_dir).to_pandas()
         assert len(out) == 500 * len(models)
         assert not out.duplicated(["doc_id", "model"]).any()
@@ -833,3 +844,45 @@ def test_one_pending_partition_logs_no_schema_mismatch(
     )
     want = want[[partition_of(d, 64) == pid for d in want["doc_id"]]]
     assert got.equals(want.reset_index(drop=True))
+
+
+def test_null_offset_raises_on_both_lanes(ray_session):
+    """``offset`` is dense and 0-based (FIXTURES.md §1): a null offset
+    fails the same way in the plain and the salted lane instead of
+    sorting the span last (and salting it into a negative shard)."""
+    from web_content_extraction_benchmark_ray.stages.reassemble import (
+        reassemble,
+        reassemble_salted,
+    )
+
+    rows = [("d0", "html", "<p>x</p>", "", None)]
+    # Ray Data re-raises a task's error wrapped, with the cause's text
+    error = r"ValueError: 1 span\(s\) have a null offset \(first in doc_id 'd0'\)"
+    for lane in (reassemble, reassemble_salted):
+        with pytest.raises(Exception, match=error):
+            lane(_spans_ds(ray_session, rows)).materialize()
+
+
+def test_resume_with_other_partition_count_raises(ray_session, tmp_path):
+    """A partition id names a different doc set under another P, so a
+    resume over another P's commits would repeat documents: it raises,
+    naming both counts, and leaves the committed output as it was."""
+    from web_content_extraction_benchmark_ray.state.checkpoint import (
+        completed_partitions,
+        read_output,
+        run_checkpointed,
+    )
+
+    spans = build_spans_table(SF)
+    out_dir = str(tmp_path / "ckpt")
+    with pytest.raises(RuntimeError, match="injected crash"):
+        run_checkpointed(
+            spans, out_dir, models=("bte",), num_partitions=4, fail_after=1
+        )
+    done = completed_partitions(out_dir)
+    before = read_output(out_dir).to_pandas().sort_values("doc_id")
+    with pytest.raises(ValueError, match=r"\[4\].*num_partitions=8"):
+        run_checkpointed(spans, out_dir, models=("bte",), num_partitions=8)
+    assert completed_partitions(out_dir) == done
+    after = read_output(out_dir).to_pandas().sort_values("doc_id")
+    assert after.reset_index(drop=True).equals(before.reset_index(drop=True))

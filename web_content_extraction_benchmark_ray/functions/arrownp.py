@@ -1,11 +1,26 @@
-"""Arrow column -> numpy converters that skip the to_pylist round-trip.
+"""Arrow column -> numpy: the one way a numeric column becomes an array.
 
-``to_pylist()`` materializes every cell as a Python object before numpy
-re-packs it — measured 61x slower than handing numpy the raw buffers for
-a (2000, 64) float list column.  These helpers are the hot-path
-replacements; semantics are identical for the non-null columns this
-engine produces (verified value-equal in tests, including sliced /
-non-zero-offset arrays, which ``flatten()`` honors).
+Every numeric column the library hands to numpy goes through ``num_col``;
+fixed-width list columns go through ``list_matrix``.  Neither builds a
+Python object per value: ``np.asarray(col.to_pylist(), dtype)`` did, and
+measured 2-3x the cold time of a relational join at sf0.1 (61x for a
+(2000, 64) float list column).  ``tests/test_arrownp.py`` pins the rules
+below, and ``tests/test_arrownp.py::test_no_pylist_numeric_idiom`` keeps
+the old idiom out of the library.
+
+Rules:
+
+* **Nulls raise.**  ``num_col`` raises a ``ValueError`` naming the column
+  when it holds a null: numpy has no null, and the old idiom turned a null
+  into NaN (float) or a bare ``TypeError`` (int), while ``to_numpy`` plus
+  an int cast gives ``INT64_MIN``.  A column that is nullable by design is
+  filtered or filled at the call site, where its meaning is known.
+* **The result may be read-only.**  When the column has no nulls, is one
+  chunk and already has ``dtype``, the array is a zero-copy, read-only
+  view of the Arrow buffer.  A caller that writes into it (an in-place
+  sort, ``a[m] = ...``, ``+=``) takes an explicit ``.copy()``.
+* Timestamps convert to int64 in their own unit (``timestamp[us]`` ->
+  epoch microseconds), as ``pc.cast(ts, pa.int64())`` does.
 """
 from __future__ import annotations
 
@@ -13,10 +28,21 @@ import numpy as np
 import pyarrow as pa
 
 
-def num_col(col, dtype) -> np.ndarray:
-    """Flat numeric column (Array or ChunkedArray) -> 1-D numpy array."""
+def num_col(src, name: str, dtype) -> np.ndarray:
+    """Numeric column -> 1-D numpy array of ``dtype``.
+
+    ``src`` is a Table/RecordBatch (``name`` selects the column) or an
+    Array/ChunkedArray (``name`` labels it in the null error).  Chunked
+    input of any chunk count, empty input and sliced arrays are accepted.
+    """
+    col = src.column(name) if isinstance(src, (pa.Table, pa.RecordBatch)) else src
+    if col.null_count:
+        raise ValueError(
+            f"column {name!r} has {col.null_count} null value(s); numpy has "
+            "no null: filter or fill them before converting"
+        )
     if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+        col = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
     return col.to_numpy(zero_copy_only=False).astype(dtype, copy=False)
 
 
@@ -36,4 +62,5 @@ def list_matrix(col, dtype) -> np.ndarray:
             f"in [{offs.min()}, {offs.max()}]"
         )
     flat = col.flatten().to_numpy(zero_copy_only=False)
-    return flat.astype(dtype, copy=False).reshape(len(col), -1)
+    dim = int(offs[0]) if len(offs) else 0
+    return flat.astype(dtype, copy=False).reshape(len(col), dim)

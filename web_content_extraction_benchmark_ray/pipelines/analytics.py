@@ -35,7 +35,7 @@ from ..functions.hashing import hash60
 from ..sources.storage import read_table
 from ..stages.coalesce import coalesce_small
 from ..functions.text import round6, tokenize_ws
-from ..functions.arrownp import list_matrix
+from ..functions.arrownp import list_matrix, num_col
 from ..stages.simsearch import _norm, emb_matrix
 from ..state.memo import fetch, memo
 
@@ -129,7 +129,7 @@ def _counted_topk(sf_dir: str, expand_counts, key_name: str, k: int):
 
     def block_topk(batch: pa.Table) -> pa.Table:
         keys = batch.column(key_name).to_pylist()
-        n = np.asarray(batch.column("n").to_pylist(), dtype=np.int64)
+        n = num_col(batch, "n", np.int64)
         if len(keys) <= k:
             keep = np.arange(len(keys))
         else:
@@ -214,13 +214,13 @@ def vocab_cms(sf_dir: str):
     totals = bucketed_groupby(parts, "cell", ["n"], ["sum"])
 
     def split(batch: pa.Table) -> pa.Table:
-        cell = np.asarray(batch.column("cell").to_pylist(), np.int64)
+        cell = num_col(batch, "cell", np.int64)
         return pa.table(
             {
                 "row_id": pa.array(cell // CMS_W, pa.int64()),
                 "col": pa.array(cell % CMS_W, pa.int64()),
                 "count": pa.array(
-                    np.asarray(batch.column("n").to_pylist(), np.int64),
+                    num_col(batch, "n", np.int64),
                     pa.int64(),
                 ),
             }
@@ -398,24 +398,20 @@ def _load_centroids(sf_dir: str, k: int = KMEANS_K) -> np.ndarray:
     import pyarrow.parquet as pq
 
     path = os.path.join(sf_dir, "embeddings.parquet")
-    ids = np.asarray(
-        pq.read_table(path, columns=["vec_id"]).column("vec_id").to_pylist(),
-        dtype=np.int64,
-    )
+    ids = num_col(pq.read_table(path, columns=["vec_id"]), "vec_id", np.int64)
     cut = np.partition(ids, min(k, len(ids)) - 1)[min(k, len(ids)) - 1]
     t = pq.read_table(
         path, columns=["vec_id", "embedding"],
         filters=[("vec_id", "<=", int(cut))],
     )
-    got = np.asarray(t.column("vec_id").to_pylist(), dtype=np.int64)
+    got = num_col(t, "vec_id", np.int64)
     order = np.argsort(got)[:k]
-    embs = t.column("embedding").take(pa.array(order)).to_pylist()
-    return np.array(embs, dtype=np.float64)
+    return list_matrix(t.column("embedding").take(pa.array(order)), np.float64)
 
 
 def _assign_batch(batch: pa.Table, cent_ref) -> pa.Table:
     cents = fetch(cent_ref)
-    vec_ids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
+    vec_ids = num_col(batch, "vec_id", np.int64)
     vecs = emb_matrix(batch.column("embedding"))
     # rounded cosine, ties -> lowest centroid index (argmax on reversed
     # negation is first-max, which IS lowest index)

@@ -131,15 +131,10 @@ def _clf_examples_build(sf_dir: str):
 
     def quantize(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        cols = [
-            np.asarray(batch.column(c).to_pylist(), dtype=np.float64)
-            for c in order
-        ]
+        cols = [num_col(batch, c, np.float64) for c in order]
         x = np.column_stack(cols + [np.ones(n)])
         xq = np.floor(x * SCALE + 0.5).astype(np.int64)
-        compl = np.asarray(
-            batch.column("complexity").to_pylist(), dtype=np.float64
-        )
+        compl = num_col(batch, "complexity", np.float64)
         ids = [int(i) for i in batch.column("doc_id").to_pylist()]
         split = [
             "train" if hash60(f"clf:{i}") % 100 < CLF_TRAIN_PCT else "test"
@@ -167,7 +162,7 @@ def train_weights(train_ds, n_train: int, iters: int = CLF_ITERS) -> np.ndarray:
 
         def grad_partial(batch: pa.Table, w_list=w_list) -> pa.Table:
             xq = list_matrix(batch.column("xq"), np.int64)
-            y = num_col(batch.column("y"), np.int64)
+            y = num_col(batch, "y", np.int64)
             return grad_partial_rows(xq, y, w_list, N_DIMS)
 
         parts = train_ds.map_batches(
@@ -206,7 +201,7 @@ def complexity_classify(sf_dir: str):
 
     def confusion_partial(batch: pa.Table, w_list=w_list) -> pa.Table:
         xq = list_matrix(batch.column("xq"), np.int64)
-        y = num_col(batch.column("y"), np.int64)
+        y = num_col(batch, "y", np.int64)
         split = batch.column("split").to_pylist()
         if len(y) == 0:
             return pa.table(
@@ -248,10 +243,10 @@ def complexity_classify(sf_dir: str):
     )
 
     def finish(batch: pa.Table) -> pa.Table:
-        tp = np.asarray(batch["sum(tp)"].to_pylist(), dtype=np.int64)
-        fp = np.asarray(batch["sum(fp)"].to_pylist(), dtype=np.int64)
-        tn = np.asarray(batch["sum(tn)"].to_pylist(), dtype=np.int64)
-        fn = np.asarray(batch["sum(fn)"].to_pylist(), dtype=np.int64)
+        tp = num_col(batch, "sum(tp)", np.int64)
+        fp = num_col(batch, "sum(fp)", np.int64)
+        tn = num_col(batch, "sum(tn)", np.int64)
+        fn = num_col(batch, "sum(fn)", np.int64)
         n = tp + fp + tn + fn
         acc = [round6(float((a + b) / c)) for a, b, c in zip(tp, tn, n)]
         f1 = [
@@ -329,7 +324,7 @@ def cluster_alignment(sf_dir: str):
 
     def match_partial(batch: pa.Table) -> pa.Table:
         xq = list_matrix(batch.column("xq"), np.int64)
-        y = num_col(batch.column("y"), np.int64)
+        y = num_col(batch, "y", np.int64)
         if len(y) == 0:
             return pa.table(
                 {

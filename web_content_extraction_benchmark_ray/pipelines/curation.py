@@ -37,6 +37,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from ..functions.arrownp import num_col
 from ..functions.hashing import hash60, shingles
 from ..functions.text import tokenize_ws
 from ..sources.storage import read_table
@@ -215,10 +216,8 @@ def pack_shards(sf_dir: str, range_size: int = PACK_RANGE,
 
     def assign(group: pa.Table, off_ref=off_ref) -> pa.Table:
         offs = fetch(off_ref)
-        ids = np.asarray(group.column("doc_id").to_pylist(), dtype=np.int64)
-        tok = np.asarray(
-            group.column("n_tokens").to_pylist(), dtype=np.int64
-        )
+        ids = num_col(group, "doc_id", np.int64)
+        tok = num_col(group, "n_tokens", np.int64)
         order = np.argsort(ids)
         ids, tok = ids[order], tok[order]
         base = int(offs[int(group.column("bucket")[0].as_py())])
@@ -291,9 +290,9 @@ def select_budget(sf_dir: str, budget: int = SELECT_BUDGET):
 
     def assign(group: pa.Table, off_ref=off_ref) -> pa.Table:
         offs = fetch(off_ref)
-        ids = np.asarray(group.column("doc_id").to_pylist(), dtype=np.int64)
-        q = np.asarray(group.column("q_mu").to_pylist(), dtype=np.int64)
-        tok = np.asarray(group.column("n_tokens").to_pylist(), dtype=np.int64)
+        ids = num_col(group, "doc_id", np.int64)
+        q = num_col(group, "q_mu", np.int64)
+        tok = num_col(group, "n_tokens", np.int64)
         order = np.lexsort((ids, -q))  # q desc, doc_id asc
         ids, q, tok = ids[order], q[order], tok[order]
         base = int(offs[int(group.column("bucket")[0].as_py())])
@@ -388,9 +387,9 @@ def source_mix(sf_dir: str, budget: int = SELECT_BUDGET):
 
     def assign(group: pa.Table, off_ref=off_ref) -> pa.Table:
         offs = fetch(off_ref)
-        ids = np.asarray(group.column("doc_id").to_pylist(), dtype=np.int64)
-        q = np.asarray(group.column("q_mu").to_pylist(), dtype=np.int64)
-        tok = np.asarray(group.column("n_tokens").to_pylist(), dtype=np.int64)
+        ids = num_col(group, "doc_id", np.int64)
+        q = num_col(group, "q_mu", np.int64)
+        tok = num_col(group, "n_tokens", np.int64)
         order = np.lexsort((ids, -q))  # q desc, doc_id asc
         ids, q, tok = ids[order], q[order], tok[order]
         srcs = group.column("source").take(
@@ -475,9 +474,9 @@ def quality_tiers(sf_dir: str, k: int = TIER_K):
 
     def assign(group: pa.Table, off_ref=off_ref) -> pa.Table:
         offs = fetch(off_ref)
-        ids = np.asarray(group.column("doc_id").to_pylist(), dtype=np.int64)
-        q = np.asarray(group.column("q_mu").to_pylist(), dtype=np.int64)
-        tok = np.asarray(group.column("n_tokens").to_pylist(), dtype=np.int64)
+        ids = num_col(group, "doc_id", np.int64)
+        q = num_col(group, "q_mu", np.int64)
+        tok = num_col(group, "n_tokens", np.int64)
         order = np.lexsort((ids, -q))  # q desc, doc_id asc
         ids, q, tok = ids[order], q[order], tok[order]
         base = int(offs[int(group.column("bucket")[0].as_py())])
@@ -552,9 +551,7 @@ def topk_per_source(sf_dir: str, k: int = TOPK_SRC_K):
             q_mu.append(int(round(qf["quality"] * 1e6)))
             ntok.append(qf["n_ws"])
         srcs = np.asarray(batch.column("source").to_pylist(), dtype=object)
-        ids = np.asarray(
-            [int(i) for i in batch.column("doc_id").to_pylist()], np.int64
-        )
+        ids = num_col(batch, "doc_id", np.int64)
         s, i, q, tk, _ = _partial_topk(
             srcs, ids, np.asarray(q_mu, np.int64),
             np.asarray(ntok, np.int64), k
@@ -570,9 +567,9 @@ def topk_per_source(sf_dir: str, k: int = TOPK_SRC_K):
 
     def merge(group: pa.Table) -> pa.Table:
         srcs = np.asarray(group.column("source").to_pylist(), dtype=object)
-        ids = np.asarray(group.column("doc_id").to_pylist(), np.int64)
-        q = np.asarray(group.column("quality_mu").to_pylist(), np.int64)
-        tok = np.asarray(group.column("n_tokens").to_pylist(), np.int64)
+        ids = num_col(group, "doc_id", np.int64)
+        q = num_col(group, "quality_mu", np.int64)
+        tok = num_col(group, "n_tokens", np.int64)
         s, i, qq, tk, rnk = _partial_topk(srcs, ids, q, tok, k)
         return pa.table(
             {
@@ -632,8 +629,8 @@ def shuffle_order(sf_dir: str, seed: str = SHUFFLE_SEED,
 
     def assign(group: pa.Table, off_ref=off_ref) -> pa.Table:
         offs = fetch(off_ref)
-        ids = np.asarray(group.column("doc_id").to_pylist(), dtype=np.int64)
-        h = np.asarray(group.column("h").to_pylist(), dtype=np.int64)
+        ids = num_col(group, "doc_id", np.int64)
+        h = num_col(group, "h", np.int64)
         order = np.lexsort((ids, h))  # h asc, doc_id asc
         ids, h = ids[order], h[order]
         base = int(offs[int(group.column("bucket")[0].as_py())])
@@ -698,11 +695,9 @@ def pack_sequences(sf_dir: str, seq_len: int = SEQ_LEN,
 
     def assign(group: pa.Table, off_ref=off_ref) -> pa.Table:
         offs = fetch(off_ref)
-        ids = np.asarray(group.column("doc_id").to_pylist(), dtype=np.int64)
-        h = np.asarray(group.column("h").to_pylist(), dtype=np.int64)
-        tok = np.asarray(
-            group.column("n_tokens").to_pylist(), dtype=np.int64
-        )
+        ids = num_col(group, "doc_id", np.int64)
+        h = num_col(group, "h", np.int64)
+        tok = num_col(group, "n_tokens", np.int64)
         order = np.lexsort((ids, h))  # h asc, doc_id asc
         ids, h, tok = ids[order], h[order], tok[order]
         base = int(offs[int(group.column("bucket")[0].as_py())])
@@ -817,10 +812,10 @@ def curate_corpus(sf_dir: str, range_size: int = PACK_RANGE,
         )
 
     def mark_dups(part: pa.Table) -> pa.Table:
-        ids = np.asarray(part.column("doc_id").to_pylist(), dtype=np.int64)
-        hs = np.asarray(part.column("h").to_pylist(), dtype=np.int64)
-        pm = np.asarray(part.column("pmask").to_pylist(), dtype=np.int64)
-        nt = np.asarray(part.column("n_tokens").to_pylist(), dtype=np.int64)
+        ids = num_col(part, "doc_id", np.int64)
+        hs = num_col(part, "h", np.int64)
+        pm = num_col(part, "pmask", np.int64)
+        nt = num_col(part, "n_tokens", np.int64)
         order = np.lexsort((ids, hs))  # h asc, doc_id asc within h
         ids, hs, pm, nt = ids[order], hs[order], pm[order], nt[order]
         first = np.ones(len(hs), dtype=bool)
@@ -849,10 +844,8 @@ def curate_corpus(sf_dir: str, range_size: int = PACK_RANGE,
 
     def assign(group: pa.Table, off_ref=off_ref) -> pa.Table:
         offs = fetch(off_ref)
-        ids = np.asarray(group.column("doc_id").to_pylist(), dtype=np.int64)
-        tok = np.asarray(
-            group.column("n_tokens").to_pylist(), dtype=np.int64
-        )
+        ids = num_col(group, "doc_id", np.int64)
+        tok = num_col(group, "n_tokens", np.int64)
         order = np.argsort(ids)
         ids, tok = ids[order], tok[order]
         base = int(offs[int(group.column("bucket")[0].as_py())])

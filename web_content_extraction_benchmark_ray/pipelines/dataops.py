@@ -21,7 +21,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..functions.arrownp import list_matrix
+from ..functions.arrownp import list_matrix, num_col
 from ..functions.text import round6, tokenize_ws
 from ..sources.storage import read_table
 from ..functions.textstats import lang_id, quality_features, token_counts
@@ -78,7 +78,7 @@ def _aug_ids(sf_dir: str):
     discipline): for consumers that only need ids, reading the text
     column and synthesizing near-dup strings is pure waste."""
     def rows(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch.column("doc_id").to_pylist(), dtype=np.int64)
+        ids = num_col(batch, "doc_id", np.int64)
         out = np.concatenate(
             [
                 ids,
@@ -230,10 +230,7 @@ def dedup_incremental(sf_dir: str, bloom_bits: int | None = None):
 
     def classify(batch: pa.Table) -> pa.Table:
         bits = fetch(ref)
-        ids = np.asarray(
-            [int(i) for i in batch.column("doc_id").to_pylist()],
-            dtype=np.int64,
-        )
+        ids = num_col(batch, "doc_id", np.int64)
         keep = ids >= NEAR_DUP_OFFSET
         hs = np.asarray(
             [
@@ -267,7 +264,7 @@ def dedup_incremental(sf_dir: str, bloom_bits: int | None = None):
         t = b.filter(b.column("hit").combine_chunks()).select(
             ["doc_id", "h"]
         )
-        h = np.asarray(t.column("h").to_pylist(), dtype=np.int64)
+        h = num_col(t, "h", np.int64)
         return pa.table(
             {
                 "bucket": pa.array(wide_bucket(h)),
@@ -291,7 +288,7 @@ def dedup_incremental(sf_dir: str, bloom_bits: int | None = None):
 
     def ref_rows(b: pa.Table) -> pa.Table:
         hb = fetch(hb_ref)
-        h = np.asarray(b.column("h").to_pylist(), dtype=np.int64)
+        h = num_col(b, "h", np.int64)
         bucket = wide_bucket(h)
         keep = np.isin(bucket, hb)
         h, bucket = h[keep], bucket[keep]
@@ -305,9 +302,9 @@ def dedup_incremental(sf_dir: str, bloom_bits: int | None = None):
         )
 
     def anti(group: pa.Table) -> pa.Table:
-        side = np.asarray(group.column("side").to_pylist(), dtype=np.int32)
-        h = np.asarray(group.column("h").to_pylist(), dtype=np.int64)
-        ids = np.asarray(group.column("doc_id").to_pylist(), dtype=np.int64)
+        side = num_col(group, "side", np.int32)
+        h = num_col(group, "h", np.int64)
+        ids = num_col(group, "doc_id", np.int64)
         inc = side == 0
         new = inc & ~np.isin(h, h[side == 1])
         return pa.table(
@@ -454,7 +451,7 @@ def dedup_incremental_minhash(sf_dir: str, bloom_bits: int | None = None):
 
     def ref_side(b: pa.Table) -> pa.Table:
         hb = fetch(hb_ref)
-        bucket = np.asarray(b.column("bucket").to_pylist(), dtype=np.int64)
+        bucket = num_col(b, "bucket", np.int64)
         t = b.filter(pa.array(np.isin(bucket, hb)))
         return t.append_column(
             "side", pa.array(np.ones(t.num_rows, dtype=np.int32))
@@ -501,8 +498,8 @@ def dedup_incremental_minhash(sf_dir: str, bloom_bits: int | None = None):
     )
 
     def keep_novel(part: pa.Table) -> pa.Table:
-        kinds = np.asarray(part.column("kind").to_pylist(), dtype=np.int32)
-        ids = np.asarray(part.column("doc_id").to_pylist(), dtype=np.int64)
+        kinds = num_col(part, "kind", np.int32)
+        ids = num_col(part, "doc_id", np.int64)
         dead = set(ids[kinds == 0].tolist())
         keep = [int(i) for i in ids[kinds == 2] if int(i) not in dead]
         return pa.table({"doc_id": pa.array(keep, pa.int64())})
@@ -611,7 +608,7 @@ def _decon_posting_ref(sf_dir: str):
     from .curation import DECON_EVERY
 
     def bench_rows(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch.column("doc_id").to_pylist(), dtype=np.int64)
+        ids = num_col(batch, "doc_id", np.int64)
         keep = (ids % DECON_EVERY == 0) & (ids < NEAR_DUP_OFFSET)
         return batch.filter(pa.array(keep))
 
@@ -806,14 +803,13 @@ def _hash_sample(ds, n_rows: int, max_rows: int, key: str = "vec_id"):
     """Deterministic id-hash sample of ~max_rows rows (knuth-multiply mod
     2^20 — same integer hash family as the LSH bucketing, so it is
     reproducible across runs and nodes, unlike random_sample)."""
-    from ..functions.arrownp import num_col
     from ..stages.simsearch import _vkey_bucket
 
     space = 1 << 20
     keep_below = max(1, (max_rows * space) // max(n_rows, 1))
 
     def keep(batch: pa.Table) -> pa.Table:
-        ids = num_col(batch.column(key), np.int64)
+        ids = num_col(batch, key, np.int64)
         return batch.filter(
             pa.array(_vkey_bucket(ids, space) < keep_below)
         )
@@ -903,7 +899,6 @@ def pq_encode(sf_dir: str):
     corpus streams through the encode pass exactly once; codebooks are
     ~16x16 ints, shuffles move only (m, code, 16 sums, n) partial rows.
     """
-    from ..functions.arrownp import list_matrix
 
     path = os.path.join(sf_dir, "embeddings.parquet")
     ds, train = _pq_inputs(path)
@@ -965,7 +960,6 @@ def _pq_train(ds, sf_dir: str) -> tuple[list, int]:
 
 
 def _pq_fit(ds, sf_dir: str) -> tuple[list, int]:
-    from ..functions.arrownp import list_matrix
     from .analytics import _load_centroids
 
     dim = len(_load_centroids(sf_dir, k=1)[0])
@@ -1049,7 +1043,6 @@ def pq_search(sf_dir: str):
     top-k before the tiny per-query merge (the knn_cosine combiner
     discipline).
     """
-    from ..functions.arrownp import list_matrix
 
     path = os.path.join(sf_dir, "embeddings.parquet")
     ds, train = _pq_inputs(path)
@@ -1065,9 +1058,7 @@ def pq_search(sf_dir: str):
 
     def partial(batch: pa.Table, ref=ref) -> pa.Table:
         q_ids, bks, lts = fetch(ref)
-        vec_ids = np.asarray(
-            [int(i) for i in batch.column("vec_id").to_pylist()], np.int64
-        )
+        vec_ids = num_col(batch, "vec_id", np.int64)
         Xq = np.floor(
             list_matrix(batch.column("embedding"), np.float64) * 1e6 + 0.5
         ).astype(np.int64) + PQ_OFF
@@ -1093,8 +1084,8 @@ def pq_search(sf_dir: str):
 
     def merge(group: pa.Table) -> pa.Table:
         qid = group.column("query_id")[0].as_py()
-        vec_ids = np.asarray(group.column("vec_id").to_pylist(), np.int64)
-        adc = np.asarray(group.column("adc").to_pylist(), np.int64)
+        vec_ids = num_col(group, "vec_id", np.int64)
+        adc = num_col(group, "adc", np.int64)
         order = np.lexsort((vec_ids, adc))[:ss.KNN_K]
         return pa.table(
             {
@@ -1253,7 +1244,7 @@ def semdedup_flags(ds, cents: np.ndarray):
 
     def ref_partial(batch: pa.Table) -> pa.Table:
         ncents = fetch(ncent_ref)
-        ids = ss.num_col(batch.column("vec_id"), np.int64)
+        ids = num_col(batch, "vec_id", np.int64)
         if len(ids) == 0:
             return pa.table(
                 {
@@ -1279,7 +1270,7 @@ def semdedup_flags(ds, cents: np.ndarray):
         )
 
     def ref_merge(group: pa.Table) -> pa.Table:
-        ids = ss.num_col(group.column("vec_id"), np.int64)
+        ids = num_col(group, "vec_id", np.int64)
         order = np.argsort(ids, kind="stable")[:SEMDEDUP_REF_CAP]
         return group.take(pa.array(np.sort(order), pa.int64()))
 
@@ -1306,7 +1297,7 @@ def semdedup_flags(ds, cents: np.ndarray):
     def flag(batch: pa.Table) -> pa.Table:
         ncents = fetch(ncent_ref)
         rmap = fetch(ref_ref)
-        ids = ss.num_col(batch.column("vec_id"), np.int64)
+        ids = num_col(batch, "vec_id", np.int64)
         if len(ids) == 0:
             return pa.table(
                 {
@@ -1927,10 +1918,8 @@ def importance_resample(sf_dir: str, range_size: int | None = None):
         range_size = PACK_RANGE
 
     def widx(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch.column("doc_id").to_pylist(), dtype=np.int64)
-        sr = np.asarray(
-            batch.column("sum_ratio").to_pylist(), dtype=np.int64
-        )
+        ids = num_col(batch, "doc_id", np.int64)
+        sr = num_col(batch, "sum_ratio", np.int64)
         return pa.table(
             {
                 "doc_id": pa.array(ids),
@@ -1953,8 +1942,8 @@ def importance_resample(sf_dir: str, range_size: int | None = None):
     def assign(group: pa.Table, off_ref=off_ref, n=n_docs,
                tw=total_w) -> pa.Table:
         offs = fetch(off_ref)
-        ids = np.asarray(group.column("doc_id").to_pylist(), dtype=np.int64)
-        w = np.asarray(group.column("w").to_pylist(), dtype=np.int64)
+        ids = num_col(group, "doc_id", np.int64)
+        w = num_col(group, "w", np.int64)
         order = np.argsort(ids)
         ids, w = ids[order], w[order]
         base = int(offs[int(group.column("bucket")[0].as_py())])
@@ -2078,7 +2067,7 @@ def hash_embed_knn(sf_dir: str):
         columns=["doc_id", "text"],
         filters=[("doc_id", "<", HE_NQ)],
     )
-    qids = np.asarray(t.column("doc_id").to_pylist(), dtype=np.int64)
+    qids = num_col(t, "doc_id", np.int64)
     order = np.argsort(qids)
     qmat = np.stack(
         [
@@ -2091,10 +2080,7 @@ def hash_embed_knn(sf_dir: str):
 
     def partial(batch: pa.Table) -> pa.Table:
         qi, qm = fetch(q_ref)
-        ids = np.asarray(
-            [int(x) for x in batch.column("doc_id").to_pylist()],
-            dtype=np.int64,
-        )
+        ids = num_col(batch, "doc_id", np.int64)
         out_q, out_d, out_s = [], [], []
         if len(ids):
             vecs = np.stack(
@@ -2123,8 +2109,8 @@ def hash_embed_knn(sf_dir: str):
         )
 
     def merge(group: pa.Table) -> pa.Table:
-        ids = np.asarray(group.column("doc_id").to_pylist(), dtype=np.int64)
-        s = np.asarray(group.column("score").to_pylist(), dtype=np.int64)
+        ids = num_col(group, "doc_id", np.int64)
+        s = num_col(group, "score", np.int64)
         qid = group.column("query_id")[0].as_py()
         top = np.lexsort((ids, -s))[:HE_K]
         return pa.table(
@@ -2725,8 +2711,8 @@ def dup_span_scrub(sf_dir: str, broadcast_max_types: int | None = None):
             return finish_rows([], [], [], [])
         # s=-1 sorts the text row first within each doc group
         g = part.sort_by([("doc_id", "ascending"), ("s", "ascending")])
-        ids = np.asarray(g.column("doc_id").to_pylist(), dtype=np.int64)
-        ss = np.asarray(g.column("s").to_pylist(), dtype=np.int64)
+        ids = num_col(g, "doc_id", np.int64)
+        ss = num_col(g, "s", np.int64)
         texts = g.column("text").to_pylist()
         out_i, out_t, out_n, out_r = [], [], [], []
         lo = 0

@@ -21,6 +21,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.arrownp import num_col
 from ..functions.evalx import levenshtein_token_ratio, rouge_lsum
 from ..functions.text import tokenize_ws
 from ..sources import pagegen as pg
@@ -287,7 +288,7 @@ def score_histograms(scores_ds, scorer: str = "rouge", bins: int = 25):
     def partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t["scorer"], scorer))
         models = np.asarray(t["model"].to_pylist(), dtype=object)
-        v = np.asarray(t[col].to_pylist(), dtype=np.float64)
+        v = num_col(t, col, np.float64)
         b = np.minimum(
             np.floor(np.clip(v, 0.0, 1.0) * bins).astype(np.int64), bins - 1
         )

@@ -34,6 +34,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.arrownp import num_col
 from ..stages.shuffle import co_partition, session_cpus, wide_bucket
 
 WINDOW_S = 3600  # tumbling window width (seconds)
@@ -53,20 +54,19 @@ def _events(sf_dir: str, columns=None):
     )
 
 
-def _epoch_s(ts_col: pa.ChunkedArray) -> np.ndarray:
-    """timestamp[us] -> int64 epoch seconds (floor)."""
-    us = np.asarray(pc.cast(ts_col, pa.int64()).to_pylist(), dtype=np.int64)
-    return us // 1_000_000
+def _epoch_s(t: pa.Table) -> np.ndarray:
+    """``ts`` (timestamp[us]) -> int64 epoch seconds (floor)."""
+    return num_col(t, "ts", np.int64) // 1_000_000
 
 
 # ------------------------------------------------------- tumbling windows
-def _quantize_micro(col) -> np.ndarray:
-    """value -> int64 micro-units (floor(v*1e6+0.5)): distributed float
+def _quantize_micro(t: pa.Table) -> np.ndarray:
+    """``value`` -> int64 micro-units (floor(v*1e6+0.5)): distributed float
     partial sums are order-dependent in the last ulp and flipped the
     round6 boundary vs the SQL twin on 2/14415 rows at sf0.1 — int64
     micro-sums are exact and order-independent on both sides."""
     return np.floor(
-        np.asarray(col.to_pylist(), dtype=np.float64) * 1e6 + 0.5
+        num_col(t, "value", np.float64) * 1e6 + 0.5
     ).astype(np.int64)
 
 
@@ -116,10 +116,10 @@ def _window_reduce(group: pa.Table) -> pa.Table:
     """Per-partition global reduce: one vectorized pass over ALL of the
     partition's partial rows (np.add.at over the fused (window, type)
     key), never a per-key Python call."""
-    win = np.asarray(group.column("window_start_s").to_pylist(), np.int64)
+    win = num_col(group, "window_start_s", np.int64)
     et = np.asarray(group.column("event_type").to_pylist(), dtype=object)
-    n = np.asarray(group.column("n_part").to_pylist(), np.int64)
-    s = np.asarray(group.column("sum_part").to_pylist(), np.int64)
+    n = num_col(group, "n_part", np.int64)
+    s = num_col(group, "sum_part", np.int64)
     types, inv = np.unique(et, return_inverse=True)
     nt = max(len(types), 1)
     key = win * nt + inv
@@ -142,8 +142,8 @@ def _window_reduce(group: pa.Table) -> pa.Table:
 
 
 def _window_finish(batch: pa.Table) -> pa.Table:
-    n = np.asarray(batch["n_part"].to_pylist(), dtype=np.int64)
-    s = np.asarray(batch["sum_part"].to_pylist(), dtype=np.int64)
+    n = num_col(batch, "n_part", np.int64)
+    s = num_col(batch, "sum_part", np.int64)
     sv = s.astype(np.float64) / 1e6  # exact int -> single divide
     return pa.table(
         {
@@ -167,12 +167,12 @@ def events_window(sf_dir: str):
     never moves raw events, and no stage loops per key."""
 
     def partials(batch: pa.Table) -> pa.Table:
-        win = (_epoch_s(batch.column("ts")) // WINDOW_S) * WINDOW_S
+        win = (_epoch_s(batch) // WINDOW_S) * WINDOW_S
         etype = np.asarray(
             batch.column("event_type").to_pylist(), dtype=object
         )
         return _window_partials(
-            win, etype, _quantize_micro(batch.column("value"))
+            win, etype, _quantize_micro(batch)
         )
 
     ds = _events(sf_dir, columns=["ts", "event_type", "value"])
@@ -191,7 +191,7 @@ def _rebucket(batch: pa.Table) -> pa.Table:
     next micro-batch fold co-locates state with the incoming partials."""
     from ..functions.hashing import hash60
 
-    win = np.asarray(batch.column("window_start_s").to_pylist(), np.int64)
+    win = num_col(batch, "window_start_s", np.int64)
     et = batch.column("event_type").to_pylist()
     thash = np.array([hash60(t) for t in et], np.int64)
     # column order must match _window_partials' exactly (union schema)
@@ -248,17 +248,15 @@ def events_window_incremental(sf_dir: str,
 
     def partials_of(lo: int, hi: int):
         def partials(batch: pa.Table) -> pa.Table:
-            eid = np.asarray(
-                batch.column("event_id").to_pylist(), np.int64
-            )
+            eid = num_col(batch, "event_id", np.int64)
             m = (eid >= lo) & (eid < hi)
             win = (
-                (_epoch_s(batch.column("ts"))[m] // WINDOW_S) * WINDOW_S
+                (_epoch_s(batch)[m] // WINDOW_S) * WINDOW_S
             )
             etype = np.asarray(
                 batch.column("event_type").to_pylist(), dtype=object
             )[m]
-            vq = _quantize_micro(batch.column("value"))[m]
+            vq = _quantize_micro(batch)[m]
             return _window_partials(win, etype, vq)
 
         return partials
@@ -298,7 +296,7 @@ def events_sliding(sf_dir: str):
     k = WINDOW_S // SLIDE_S
 
     def partials(batch: pa.Table) -> pa.Table:
-        secs = _epoch_s(batch.column("ts"))
+        secs = _epoch_s(batch)
         base = secs // SLIDE_S
         # windows containing t: starts ((t//S) - j) * S for j in 0..k-1
         starts = (
@@ -308,7 +306,7 @@ def events_sliding(sf_dir: str):
             np.asarray(batch.column("event_type").to_pylist(), dtype=object),
             k,
         )
-        vq = np.repeat(_quantize_micro(batch.column("value")), k)
+        vq = np.repeat(_quantize_micro(batch), k)
         return _window_partials(starts, etype, vq)
 
     ds = _events(sf_dir, columns=["ts", "event_type", "value"])
@@ -357,11 +355,11 @@ def events_watermark(sf_dir: str):
     rng = _eid_range(sf_dir)
 
     def rows(batch: pa.Table) -> pa.Table:
-        eid = np.asarray(batch.column("event_id").to_pylist(), np.int64)
+        eid = num_col(batch, "event_id", np.int64)
         return pa.table(
             {
                 "event_id": pa.array(eid, pa.int64()),
-                "s": pa.array(_epoch_s(batch.column("ts")), pa.int64()),
+                "s": pa.array(_epoch_s(batch), pa.int64()),
                 "bucket": pa.array(eid // rng, pa.int64()),
             }
         )
@@ -382,8 +380,8 @@ def events_watermark(sf_dir: str):
         run = max(run, int(m))
 
     def scan(group: pa.Table) -> pa.Table:
-        eid = np.asarray(group.column("event_id").to_pylist(), np.int64)
-        s = np.asarray(group.column("s").to_pylist(), np.int64)
+        eid = num_col(group, "event_id", np.int64)
+        s = num_col(group, "s", np.int64)
         order = np.argsort(eid)
         s = s[order]
         incoming = pre[int(group.column("bucket")[0].as_py())]
@@ -438,10 +436,10 @@ def events_rolling(sf_dir: str):
     million users costs the same three array passes."""
 
     def roll(group: pa.Table) -> pa.Table:
-        users = np.asarray(group.column("user_id").to_pylist(), np.int64)
-        ids = np.asarray(group.column("event_id").to_pylist(), np.int64)
-        secs = _epoch_s(group.column("ts"))
-        v6 = _quantize_micro(group.column("value"))
+        users = num_col(group, "user_id", np.int64)
+        ids = num_col(group, "event_id", np.int64)
+        secs = _epoch_s(group)
+        v6 = _quantize_micro(group)
         order = np.lexsort((ids, secs, users))
         users, ids, secs, v6 = (
             users[order], ids[order], secs[order], v6[order]
@@ -482,9 +480,9 @@ def events_lag(sf_dir: str):
     in the group, no per-user loop."""
 
     def gaps(group: pa.Table) -> pa.Table:
-        users = np.asarray(group.column("user_id").to_pylist(), np.int64)
-        ids = np.asarray(group.column("event_id").to_pylist(), np.int64)
-        secs = _epoch_s(group.column("ts"))
+        users = num_col(group, "user_id", np.int64)
+        ids = num_col(group, "event_id", np.int64)
+        secs = _epoch_s(group)
         order = np.lexsort((ids, secs, users))
         users, ids, secs = users[order], ids[order], secs[order]
         same_prev = np.concatenate(([False], users[1:] == users[:-1]))
@@ -530,9 +528,9 @@ def events_range_join(sf_dir: str):
     not an O(events × windows) explode."""
 
     def join(group: pa.Table) -> pa.Table:
-        users = np.asarray(group.column("user_id").to_pylist(), np.int64)
-        ids = np.asarray(group.column("event_id").to_pylist(), np.int64)
-        secs = _epoch_s(group.column("ts"))
+        users = num_col(group, "user_id", np.int64)
+        ids = num_col(group, "event_id", np.int64)
+        secs = _epoch_s(group)
         types = np.asarray(
             group.column("event_type").to_pylist(), dtype=object
         )
@@ -574,9 +572,9 @@ def events_sessionize(sf_dir: str):
     n_events, duration_s)."""
 
     def sessions(group: pa.Table) -> pa.Table:
-        users = np.asarray(group.column("user_id").to_pylist(), dtype=np.int64)
-        ids = np.asarray(group.column("event_id").to_pylist(), dtype=np.int64)
-        secs = _epoch_s(group.column("ts"))
+        users = num_col(group, "user_id", np.int64)
+        ids = num_col(group, "event_id", np.int64)
+        secs = _epoch_s(group)
         order = np.lexsort((ids, secs, users))
         users, ids, secs = users[order], ids[order], secs[order]
         out = {"user_id": [], "session_id": [], "n_events": [], "duration_s": []}
@@ -632,10 +630,10 @@ def events_paths(sf_dir: str,
     from ..stages.vecagg import bucketed_groupby
 
     def paths(group: pa.Table) -> pa.Table:
-        users = np.asarray(group.column("user_id").to_pylist(), dtype=np.int64)
-        ids = np.asarray(group.column("event_id").to_pylist(), dtype=np.int64)
+        users = num_col(group, "user_id", np.int64)
+        ids = num_col(group, "event_id", np.int64)
         types = group.column("event_type").to_pylist()
-        secs = _epoch_s(group.column("ts"))
+        secs = _epoch_s(group)
         order = np.lexsort((ids, secs, users))
         users, ids, secs = users[order], ids[order], secs[order]
         types = [types[i] for i in order]
@@ -660,7 +658,7 @@ def events_paths(sf_dir: str,
 
     def block_topk(batch: pa.Table, k=k) -> pa.Table:
         p = batch.column("path").to_pylist()
-        n = np.asarray(batch.column("n").to_pylist(), dtype=np.int64)
+        n = num_col(batch, "n", np.int64)
         if len(p) > k:
             keep = np.lexsort((np.asarray(p, dtype=object), -n))[:k]
             p = [p[i] for i in keep]
@@ -691,11 +689,9 @@ def events_asof(sf_dir: str):
     matching event — the sort-merge form of ASOF JOIN."""
 
     def asof(group: pa.Table) -> pa.Table:
-        users = np.asarray(group.column("user_id").to_pylist(), dtype=np.int64)
-        ids = np.asarray(group.column("event_id").to_pylist(), dtype=np.int64)
-        secs_us = np.asarray(
-            pc.cast(group.column("ts"), pa.int64()).to_pylist(), dtype=np.int64
-        )
+        users = num_col(group, "user_id", np.int64)
+        ids = num_col(group, "event_id", np.int64)
+        secs_us = num_col(group, "ts", np.int64)
         types = group.column("event_type").to_pylist()
         order = np.lexsort((ids, secs_us, users))
         out_id, out_err = [], []
@@ -768,8 +764,8 @@ def events_retention(sf_dir: str):
     from ..stages.vecagg import bucketed_groupby
 
     def distinct_pairs(batch: pa.Table) -> pa.Table:
-        u = np.asarray(batch.column("user_id").to_pylist(), dtype=np.int64)
-        w = (_epoch_s(batch.column("ts")) // WINDOW_S) * WINDOW_S
+        u = num_col(batch, "user_id", np.int64)
+        w = (_epoch_s(batch) // WINDOW_S) * WINDOW_S
         uw = np.unique(np.stack([u, w]), axis=1)
         return pa.table(
             {
@@ -779,8 +775,8 @@ def events_retention(sf_dir: str):
         )
 
     def per_user(group: pa.Table) -> pa.Table:
-        u = np.asarray(group.column("user_id").to_pylist(), dtype=np.int64)
-        w = np.asarray(group.column("window_s").to_pylist(), dtype=np.int64)
+        u = num_col(group, "user_id", np.int64)
+        w = num_col(group, "window_s", np.int64)
         # batch-level combiners may emit the same pair from many blocks
         uw = np.unique(np.stack([u, w]), axis=1)
         u, w = uw[0], uw[1]
@@ -806,7 +802,7 @@ def events_retention(sf_dir: str):
                            out_names=["n_users"])
 
     def finish(batch: pa.Table) -> pa.Table:
-        ck = np.asarray(batch.column("ck").to_pylist(), dtype=np.int64)
+        ck = num_col(batch, "ck", np.int64)
         return pa.table(
             {
                 "cohort_start_s": pa.array(
@@ -837,11 +833,8 @@ def events_funnel(sf_dir: str):
     arrays; timestamps compare in exact int64 microseconds)."""
 
     def funnel(group: pa.Table) -> pa.Table:
-        users = np.asarray(group.column("user_id").to_pylist(), dtype=np.int64)
-        ts_us = np.asarray(
-            pc.cast(group.column("ts"), pa.int64()).to_pylist(),
-            dtype=np.int64,
-        )
+        users = num_col(group, "user_id", np.int64)
+        ts_us = num_col(group, "ts", np.int64)
         types = np.asarray(group.column("event_type").to_pylist(), dtype=object)
         order = np.lexsort((ts_us, users))
         users, ts_us, types = users[order], ts_us[order], types[order]

@@ -48,6 +48,7 @@ import os
 import numpy as np
 import pyarrow as pa
 
+from ..functions.arrownp import num_col
 from ..sources.storage import read_table
 from ..stages.shuffle import co_partition
 from ..stages.vecagg import bucketed_groupby
@@ -104,7 +105,7 @@ def link_pagerank(sf_dir: str, iters: int = PR_ITERS):
     base = ((PR_DAMP_DEN - PR_DAMP_NUM) * r0) // PR_DAMP_DEN
 
     def init(batch: pa.Table) -> pa.Table:
-        nodes = np.asarray(batch.column("doc_id").to_pylist(), np.int64)
+        nodes = num_col(batch, "doc_id", np.int64)
         return pa.table(
             {
                 "node": pa.array(nodes, pa.int64()),
@@ -113,8 +114,8 @@ def link_pagerank(sf_dir: str, iters: int = PR_ITERS):
         )
 
     def scatter(batch: pa.Table, check: bool) -> pa.Table:
-        nodes = np.asarray(batch.column("node").to_pylist(), np.int64)
-        r = np.asarray(batch.column("r").to_pylist(), np.int64)
+        nodes = num_col(batch, "node", np.int64)
+        r = num_col(batch, "r", np.int64)
         dst = _edge_dsts(nodes, n)
         out_dst = np.concatenate([dst.reshape(-1), nodes])
         out_c = np.concatenate(
@@ -132,11 +133,11 @@ def link_pagerank(sf_dir: str, iters: int = PR_ITERS):
 
     def apply_rank(batch: pa.Table) -> pa.Table:
         if "is_doc" in batch.column_names:
-            is_doc = np.asarray(batch.column("is_doc").to_pylist(), np.int64)
+            is_doc = num_col(batch, "is_doc", np.int64)
             if not is_doc.all():
                 dst = batch.column("dst").to_pylist()
                 raise _not_a_doc("link_pagerank", dst[int(np.argmin(is_doc))])
-        inflow = np.asarray(batch.column("inflow").to_pylist(), np.int64)
+        inflow = num_col(batch, "inflow", np.int64)
         return pa.table(
             {
                 "node": batch.column("dst"),
@@ -181,7 +182,7 @@ def link_triangles(sf_dir: str):
     n = _n_docs(sf_dir)
 
     def edges(batch: pa.Table) -> pa.Table:
-        src = np.asarray(batch.column("doc_id").to_pylist(), np.int64)
+        src = num_col(batch, "doc_id", np.int64)
         dst = _edge_dsts(src, n)
         s = np.repeat(src, OUT_DEG)
         d = dst.reshape(-1)
@@ -195,8 +196,8 @@ def link_triangles(sf_dir: str):
         )
 
     def fuse_uv(batch: pa.Table) -> pa.Table:
-        u = np.asarray(batch.column("u").to_pylist(), np.int64)
-        v = np.asarray(batch.column("v").to_pylist(), np.int64)
+        u = num_col(batch, "u", np.int64)
+        v = num_col(batch, "v", np.int64)
         return batch.append_column("uv", pa.array(u * n + v, pa.int64()))
 
     # distinct undirected edges, co-located by fused key (one row per
@@ -215,7 +216,7 @@ def link_triangles(sf_dir: str):
         """Per low-endpoint u: all (v, w) pairs of higher neighbors
         (v < w), emitted as fused keys tagged kind=1; the edge itself
         re-emitted as kind=0 for the match co-group."""
-        uv = np.asarray(group.column("uv").to_pylist(), np.int64)
+        uv = num_col(group, "uv", np.int64)
         u, v = uv // n, uv % n
         out_key = [uv]
         out_kind = [np.zeros(len(uv), np.int64)]
@@ -238,7 +239,7 @@ def link_triangles(sf_dir: str):
         )
 
     def low_end(batch: pa.Table) -> pa.Table:
-        uv = np.asarray(batch.column("uv").to_pylist(), np.int64)
+        uv = num_col(batch, "uv", np.int64)
         return batch.append_column("u", pa.array(uv // n, pa.int64()))
 
     tagged = co_partition(
@@ -247,8 +248,8 @@ def link_triangles(sf_dir: str):
     )
 
     def match(group: pa.Table) -> pa.Table:
-        key = np.asarray(group.column("key").to_pylist(), np.int64)
-        kind = np.asarray(group.column("kind").to_pylist(), np.int64)
+        key = num_col(group, "key", np.int64)
+        kind = num_col(group, "kind", np.int64)
         hits = np.isin(key[kind == 1], np.unique(key[kind == 0]))
         return pa.table(
             {"part": pa.array([int(hits.sum())], pa.int64())}
@@ -257,9 +258,7 @@ def link_triangles(sf_dir: str):
     parts = co_partition(tagged, match, key="key")
 
     def total(batch: pa.Table) -> pa.Table:
-        s = int(
-            np.asarray(batch.column("part").to_pylist(), np.int64).sum()
-        )
+        s = int(num_col(batch, "part", np.int64).sum())
         return pa.table({"n_triangles": pa.array([s], pa.int64())})
 
     # final reduce: one partial row per partition -> one row
@@ -291,7 +290,7 @@ def link_components(sf_dir: str, iters: int = CC_ITERS):
     n = _n_docs(sf_dir)
 
     def init(batch: pa.Table) -> pa.Table:
-        nodes = np.asarray(batch.column("doc_id").to_pylist(), np.int64)
+        nodes = num_col(batch, "doc_id", np.int64)
         return pa.table(
             {
                 "node": pa.array(nodes, pa.int64()),
@@ -300,8 +299,8 @@ def link_components(sf_dir: str, iters: int = CC_ITERS):
         )
 
     def requests(batch: pa.Table) -> pa.Table:
-        nodes = np.asarray(batch.column("node").to_pylist(), np.int64)
-        lab = np.asarray(batch.column("label").to_pylist(), np.int64)
+        nodes = num_col(batch, "node", np.int64)
+        lab = num_col(batch, "label", np.int64)
         dst = _edge_dsts(nodes, n)
         k = np.concatenate([nodes, dst.reshape(-1)])
         kind = np.concatenate(
@@ -320,10 +319,10 @@ def link_components(sf_dir: str, iters: int = CC_ITERS):
         )
 
     def exchange(group: pa.Table) -> pa.Table:
-        k = np.asarray(group.column("k").to_pylist(), np.int64)
-        kind = np.asarray(group.column("kind").to_pylist(), np.int64)
-        a = np.asarray(group.column("a").to_pylist(), np.int64)
-        b = np.asarray(group.column("b").to_pylist(), np.int64)
+        k = num_col(group, "k", np.int64)
+        kind = num_col(group, "kind", np.int64)
+        a = num_col(group, "a", np.int64)
+        b = num_col(group, "b", np.int64)
         m0 = kind == 0
         k0, lab0 = k[m0], a[m0]
         o = np.argsort(k0)  # one label row per node, so k0 is unique

@@ -44,6 +44,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from ..functions.arrownp import num_col
 from ..functions.hashing import hash60, shingles
 from ..functions.text import round6, tokenize_ws
 from ..functions.textstats import STOPWORDS, _PUNCT_RE
@@ -264,16 +265,10 @@ def tfidf_topterms(sf_dir: str, k: int = TFIDF_TOPK,
 
         g = pd.DataFrame(
             {
-                "doc_id": np.asarray(
-                    group.column("doc_id").to_pylist(), dtype=np.int64
-                ),
+                "doc_id": num_col(group, "doc_id", np.int64),
                 "term": group.column("term").to_pylist(),
-                "tf": np.asarray(
-                    group.column("tf").to_pylist(), dtype=np.int64
-                ),
-                "df": np.asarray(
-                    group.column("df").to_pylist(), dtype=np.int64
-                ),
+                "tf": num_col(group, "tf", np.int64),
+                "df": num_col(group, "df", np.int64),
             }
         )
         g = g.sort_values(
@@ -452,8 +447,8 @@ def line_dedup(sf_dir: str, broadcast_max_types: int | None = None):
         if part.num_rows == 0:
             return finish_rows([], [], [], [])
         g = part.sort_by([("doc_id", "ascending"), ("j", "ascending")])
-        ids = np.asarray(g.column("doc_id").to_pylist(), dtype=np.int64)
-        js = np.asarray(g.column("j").to_pylist(), dtype=np.int64)
+        ids = num_col(g, "doc_id", np.int64)
+        js = num_col(g, "j", np.int64)
         texts = g.column("text").to_pylist()
         out_i, out_c, out_d, out_h = [], [], [], []
         lo = 0
@@ -650,7 +645,7 @@ def cooccur_topk(sf_dir: str):
 
     def block_topk(batch: pa.Table) -> pa.Table:
         pairs = batch.column("pair").to_pylist()
-        n = np.asarray(batch.column("n").to_pylist(), dtype=np.int64)
+        n = num_col(batch, "n", np.int64)
         if len(pairs) > COOCCUR_K:
             keep = np.lexsort((np.asarray(pairs, dtype=object), -n))[
                 :COOCCUR_K
@@ -807,9 +802,7 @@ def length_quantiles(sf_dir: str, pcts=LENGTH_PCTS):
 
     def select(group: pa.Table, pcts=tuple(pcts)) -> pa.Table:
         src = group.column("source")[0].as_py()
-        tok = np.sort(
-            np.asarray(group.column("n_tokens").to_pylist(), np.int64)
-        )
+        tok = np.sort(num_col(group, "n_tokens", np.int64))
         n = len(tok)
         out_p, out_v = [], []
         for p in pcts:
@@ -981,9 +974,7 @@ def source_overlap(sf_dir: str, k: int = SRC_SKETCH_K):
 
     def merge(group: pa.Table) -> pa.Table:
         src = group.column("source")[0].as_py()
-        arr = np.unique(
-            np.asarray(group.column("h").to_pylist(), dtype=np.int64)
-        )[:k]  # np.unique sorts ascending -> first k ARE the bottom-k
+        arr = np.unique(num_col(group, "h", np.int64))[:k]  # np.unique sorts ascending -> first k ARE the bottom-k
         return pa.table(
             {
                 "source": pa.array([src] * arr.size, pa.string()),

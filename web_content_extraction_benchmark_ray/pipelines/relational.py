@@ -33,6 +33,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from ..functions.arrownp import num_col
 from ..sources.storage import capped_num_blocks, read_table
 from ..stages.shuffle import co_partition, partition_count, session_cpus
 from ..stages.vecagg import bucketed_groupby
@@ -89,11 +90,9 @@ def _orders_join_agg(sf_dir: str, label_name: str,
     aggregated to (label_name, n_lines, revenue6)."""
 
     def li_rows(batch: pa.Table) -> pa.Table:
-        k = np.asarray(batch.column("l_orderkey").to_pylist(), np.int64)
-        ep = np.asarray(
-            batch.column("l_extendedprice").to_pylist(), np.float64
-        )
-        d = np.asarray(batch.column("l_discount").to_pylist(), np.float64)
+        k = num_col(batch, "l_orderkey", np.int64)
+        ep = num_col(batch, "l_extendedprice", np.float64)
+        d = num_col(batch, "l_discount", np.float64)
         rev6 = np.floor(ep * (1 - d) * 1e6 + 0.5).astype(np.int64)
         # map-side combiner: one row per distinct orderkey per batch
         uk, inv = np.unique(k, return_inverse=True)
@@ -111,7 +110,7 @@ def _orders_join_agg(sf_dir: str, label_name: str,
         )
 
     def o_rows(batch: pa.Table) -> pa.Table:
-        k = np.asarray(batch.column("o_orderkey").to_pylist(), np.int64)
+        k = num_col(batch, "o_orderkey", np.int64)
         z = np.zeros(len(k), np.int64)
         prio = pa.array(label_of(batch), pa.string())
         return pa.table(
@@ -133,10 +132,10 @@ def _orders_join_agg(sf_dir: str, label_name: str,
     ).map_batches(o_rows, batch_format="pyarrow")
 
     def joined(group: pa.Table) -> pa.Table:
-        side = np.asarray(group.column("side").to_pylist(), np.int64)
-        keys = np.asarray(group.column("orderkey").to_pylist(), np.int64)
-        rev6 = np.asarray(group.column("rev6").to_pylist(), np.int64)
-        n = np.asarray(group.column("n").to_pylist(), np.int64)
+        side = num_col(group, "side", np.int64)
+        keys = num_col(group, "orderkey", np.int64)
+        rev6 = num_col(group, "rev6", np.int64)
+        n = num_col(group, "n", np.int64)
         prio = np.asarray(group.column("prio").to_pylist(), dtype=object)
         bm = side == 1
         ko, po = keys[bm], prio[bm]
@@ -213,12 +212,12 @@ def _custkey_region_build(sf_dir: str):
         os.path.join(sf_dir, "region.parquet"),
         columns=["r_regionkey", "r_name"],
     )
-    rk = np.asarray(reg.column("r_regionkey").to_pylist(), np.int64)
+    rk = num_col(reg, "r_regionkey", np.int64)
     rname = np.asarray(reg.column("r_name").to_pylist(), dtype=object)
-    nk = np.asarray(nat.column("n_nationkey").to_pylist(), np.int64)
-    nreg = np.asarray(nat.column("n_regionkey").to_pylist(), np.int64)
-    ck = np.asarray(cust.column("c_custkey").to_pylist(), np.int64)
-    cn = np.asarray(cust.column("c_nationkey").to_pylist(), np.int64)
+    nk = num_col(nat, "n_nationkey", np.int64)
+    nreg = num_col(nat, "n_regionkey", np.int64)
+    ck = num_col(cust, "c_custkey", np.int64)
+    cn = num_col(cust, "c_nationkey", np.int64)
     # customer -> nation -> region, both inner joins: a customer whose
     # nation (or whose nation's region) has no row drops
     ridx, rhit = _probe(rk, nreg)
@@ -252,7 +251,7 @@ def revenue_by_region(sf_dir: str):
 
     def label_of(batch: pa.Table, ref=ref):
         ck_sorted, region = fetch(ref)
-        ck = np.asarray(batch.column("o_custkey").to_pylist(), np.int64)
+        ck = num_col(batch, "o_custkey", np.int64)
         idx = np.searchsorted(ck_sorted, ck)
         idx[idx == len(ck_sorted)] = len(ck_sorted) - 1
         # inner join: an orphan custkey (no customer row) drops
@@ -285,13 +284,8 @@ def parts_stale(sf_dir: str):
     sorted-membership searchsorted."""
 
     def live_rows(batch: pa.Table) -> pa.Table:
-        k = np.asarray(batch.column("l_partkey").to_pylist(), np.int64)
-        ship = np.asarray(
-            pa.compute.cast(
-                batch.column("l_shipdate"), pa.int64()
-            ).to_pylist(),
-            np.int64,
-        )
+        k = num_col(batch, "l_partkey", np.int64)
+        ship = num_col(batch, "l_shipdate", np.int64)
         uk = np.unique(k[ship >= _STALE_US])
         return pa.table(
             {
@@ -301,7 +295,7 @@ def parts_stale(sf_dir: str):
         )
 
     def part_rows(batch: pa.Table) -> pa.Table:
-        k = np.asarray(batch.column("p_partkey").to_pylist(), np.int64)
+        k = num_col(batch, "p_partkey", np.int64)
         return pa.table(
             {
                 "key": pa.array(k, pa.int64()),
@@ -317,8 +311,8 @@ def parts_stale(sf_dir: str):
     )
 
     def anti(group: pa.Table) -> pa.Table:
-        side = np.asarray(group.column("side").to_pylist(), np.int64)
-        keys = np.asarray(group.column("key").to_pylist(), np.int64)
+        side = num_col(group, "side", np.int64)
+        keys = num_col(group, "key", np.int64)
         pk = keys[side == 1]
         lk = np.unique(keys[side == 0])
         if len(lk):
@@ -343,7 +337,7 @@ def docs_rollup(sf_dir: str):
     def partial(batch: pa.Table) -> pa.Table:
         src = np.asarray(batch.column("source").to_pylist(), dtype=object)
         lang = np.asarray(batch.column("lang").to_pylist(), dtype=object)
-        nc = np.asarray(batch.column("n_chars").to_pylist(), np.int64)
+        nc = num_col(batch, "n_chars", np.int64)
         fused = np.array(
             [s + "\x1f" + g for s, g in zip(src, lang)], dtype=object
         )

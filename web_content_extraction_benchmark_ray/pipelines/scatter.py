@@ -84,7 +84,7 @@ def scatter_clusters(sf_dir: str):
                 ),
                 "cluster": pa.array(cl.tolist(), pa.int64()),
                 "label": pa.array(
-                    num_col(batch.column("y"), np.int64).tolist(), pa.int64()
+                    num_col(batch, "y", np.int64).tolist(), pa.int64()
                 ),
             }
         )
@@ -118,7 +118,7 @@ def scatter_classes(sf_dir: str):
                 ),
                 "pred": pa.array(pred.tolist(), pa.int64()),
                 "label": pa.array(
-                    num_col(batch.column("y"), np.int64).tolist(), pa.int64()
+                    num_col(batch, "y", np.int64).tolist(), pa.int64()
                 ),
             }
         )

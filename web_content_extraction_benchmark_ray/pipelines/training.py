@@ -103,11 +103,11 @@ def _train_over(examples_ds, feat_cols: tuple, dims: int, iters: int,
     w = np.zeros(dims, dtype=np.int64)
 
     def x_of(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
-        cols = [num_col(batch.column(c), np.int64) for c in feat_cols]
+        cols = [num_col(batch, c, np.int64) for c in feat_cols]
         x = np.column_stack(
             cols + [np.full(len(cols[0]), SCALE, dtype=np.int64)]
         )
-        y = num_col(batch.column("label"), np.int64)
+        y = num_col(batch, "label", np.int64)
         return x, y
 
     for _ in range(iters):

@@ -27,6 +27,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..functions.arrownp import num_col
+
 BLOOM_BITS_DEFAULT = 1 << 20  # m; ~128 KiB packed
 BLOOM_K = 4  # probes per key
 
@@ -79,7 +81,7 @@ def bloom_from_hashes(ds, col: str, m: int = BLOOM_BITS_DEFAULT) -> np.ndarray:
 
         def partial(batch: pa.Table) -> pa.Table:
             bits = np.zeros(m // 64, dtype=np.uint64)
-            h = np.asarray(batch.column(col).to_pylist(), dtype=np.int64)
+            h = num_col(batch, col, np.int64)
             if len(h):
                 pos = _probes(h, m).ravel()
                 np.bitwise_or.at(
@@ -98,7 +100,7 @@ def bloom_from_hashes(ds, col: str, m: int = BLOOM_BITS_DEFAULT) -> np.ndarray:
         return acc
 
     def probe_rows(batch: pa.Table) -> pa.Table:
-        h = np.asarray(batch.column(col).to_pylist(), dtype=np.int64)
+        h = num_col(batch, col, np.int64)
         if not len(h):
             return pa.table(
                 {"slice": pa.array([], pa.int64()),
@@ -117,9 +119,7 @@ def bloom_from_hashes(ds, col: str, m: int = BLOOM_BITS_DEFAULT) -> np.ndarray:
         base = sl * SLICE_BITS
         n_bits = min(SLICE_BITS, m - base)
         bits = np.zeros(-(-n_bits // 64), dtype=np.uint64)
-        pos = np.asarray(
-            group.column("pos").to_pylist(), dtype=np.int64
-        ) - base
+        pos = num_col(group, "pos", np.int64) - base
         np.bitwise_or.at(
             bits, pos >> 6, np.uint64(1) << (pos & 63).astype(np.uint64)
         )
@@ -167,10 +167,7 @@ def distinct_int_values(ds, col: str) -> np.ndarray:
         return pa.table(
             {
                 col: pa.array(
-                    np.unique(
-                        np.asarray(b.column(col).to_pylist(), dtype=np.int64)
-                    ),
-                    pa.int64(),
+                    np.unique(num_col(b, col, np.int64)), pa.int64()
                 )
             }
         )

@@ -316,8 +316,8 @@ def simhash_rows(batch: pa.Table) -> pa.Table:
 def simhash_band_rows(batch: pa.Table) -> pa.Table:
     """Pure bit arithmetic -> fully vectorized explode (numpy repeat/tile;
     the former per-(doc, band) Python loop was pure interpreter overhead)."""
-    ids = num_col(batch.column("doc_id"), np.int64)
-    v = num_col(batch.column("sim_v"), np.int64)
+    ids = num_col(batch, "doc_id", np.int64)
+    v = num_col(batch, "sim_v", np.int64)
     n = len(ids)
     j = np.tile(np.arange(SIMHASH_NUM_BANDS, dtype=np.int64), n)
     vv = np.repeat(v, SIMHASH_NUM_BANDS)
@@ -593,10 +593,10 @@ def jaccard_pair_reduce(group: pa.Table) -> pa.Table:
     aggregate here hit millions of groups (22.9 s for ~2 s of work);
     the per-partition reduce is the same tiny-group discipline as the
     candidate stage."""
-    a_arr = num_col(group.column("doc_id_a"), np.int64)
-    b_arr = num_col(group.column("doc_id_b"), np.int64)
-    na_arr = num_col(group.column("n_a"), np.float64)
-    nb_arr = num_col(group.column("n_b"), np.float64)
+    a_arr = num_col(group, "doc_id_a", np.int64)
+    b_arr = num_col(group, "doc_id_b", np.int64)
+    na_arr = num_col(group, "n_a", np.float64)
+    nb_arr = num_col(group, "n_b", np.float64)
     # vectorized group-count: sort by (a, b), run-length encode
     order = np.lexsort((b_arr, a_arr))
     a_s, b_s = a_arr[order], b_arr[order]
@@ -881,8 +881,8 @@ def fp_bucket_pairs(group, max_df: int = FP_MAX_DF):
     appends)."""
     import pyarrow as pa
 
-    fp = np.asarray(group.column("fp").to_pylist(), dtype=np.int64)
-    doc = np.asarray(group.column("doc_id").to_pylist(), dtype=np.int64)
+    fp = num_col(group, "fp", np.int64)
+    doc = num_col(group, "doc_id", np.int64)
     order = np.lexsort((doc, fp))
     fp, doc = fp[order], doc[order]
     starts = np.flatnonzero(np.r_[True, fp[1:] != fp[:-1]])
@@ -915,8 +915,8 @@ def fp_kept_counts(group, max_df: int = FP_MAX_DF):
     co-partitioned Sum rebuilds each doc's kept-set size."""
     import pyarrow as pa
 
-    fp = np.asarray(group.column("fp").to_pylist(), dtype=np.int64)
-    d = np.asarray(group.column("doc_id").to_pylist(), dtype=np.int64)
+    fp = num_col(group, "fp", np.int64)
+    d = num_col(group, "doc_id", np.int64)
     uf, inv, cnt = np.unique(fp, return_inverse=True, return_counts=True)
     keep = (cnt[inv] >= 2) & (cnt[inv] <= max_df)
     ud, c = np.unique(d[keep], return_counts=True)
@@ -935,8 +935,8 @@ def _fp_pair_scores(group, nk_map, min_shared: int):
     and the round6 coefficient for the output."""
     import pyarrow as pa
 
-    a = np.asarray(group.column("doc_id_a").to_pylist(), dtype=np.int64)
-    b = np.asarray(group.column("doc_id_b").to_pylist(), dtype=np.int64)
+    a = num_col(group, "doc_id_a", np.int64)
+    b = num_col(group, "doc_id_b", np.int64)
     key = (a << np.int64(31)) | b  # aug doc ids < 2^31
     uk, counts = np.unique(key, return_counts=True)
     ua = (uk >> np.int64(31)).astype(np.int64)
@@ -1019,9 +1019,9 @@ def fingerprint_dup_pairs(ds, min_shared: int = FP_MIN_SHARED,
     pairs = pairs.materialize()  # read twice: requests + the score union
 
     def requests(b: pa.Table) -> pa.Table:
-        a = np.asarray(b.column("doc_id_a").to_pylist(), dtype=np.int64)
-        bb = np.asarray(b.column("doc_id_b").to_pylist(), dtype=np.int64)
-        pb = np.asarray(b.column("bucket").to_pylist(), dtype=np.int64)
+        a = num_col(b, "doc_id_a", np.int64)
+        bb = num_col(b, "doc_id_b", np.int64)
+        pb = num_col(b, "bucket", np.int64)
         doc = np.concatenate([a, bb])
         pbs = np.concatenate([pb, pb])
         u = np.unique(doc * np.int64(WIDE_SPACE) + pbs)
@@ -1035,23 +1035,21 @@ def fingerprint_dup_pairs(ds, min_shared: int = FP_MIN_SHARED,
         )
 
     def count_rows(b: pa.Table) -> pa.Table:
-        doc = np.asarray(b.column("doc_id").to_pylist(), dtype=np.int64)
+        doc = num_col(b, "doc_id", np.int64)
         return pa.table(
             {
                 "doc_id": pa.array(doc, pa.int64()),
                 "pbucket": pa.array(
                     np.full(len(doc), -1, dtype=np.int32), pa.int32()
                 ),
-                "k": pa.array(
-                    np.asarray(b.column("k").to_pylist(), dtype=np.int64)
-                ),
+                "k": pa.array(num_col(b, "k", np.int64)),
             }
         )
 
     def deliver(part: pa.Table) -> pa.Table:
-        doc = np.asarray(part.column("doc_id").to_pylist(), dtype=np.int64)
-        pb = np.asarray(part.column("pbucket").to_pylist(), dtype=np.int32)
-        k = np.asarray(part.column("k").to_pylist(), dtype=np.int64)
+        doc = num_col(part, "doc_id", np.int64)
+        pb = num_col(part, "pbucket", np.int32)
+        k = num_col(part, "k", np.int64)
         kmap = {int(d): int(v) for d, v in zip(doc[k >= 0], k[k >= 0])}
         req = k < 0
         return pa.table(
@@ -1084,10 +1082,8 @@ def fingerprint_dup_pairs(ds, min_shared: int = FP_MIN_SHARED,
         )
 
     def score_join(part: pa.Table) -> pa.Table:
-        k = np.asarray(part.column("k").to_pylist(), dtype=np.int64)
-        doc_a = np.asarray(
-            part.column("doc_id_a").to_pylist(), dtype=np.int64
-        )
+        k = num_col(part, "k", np.int64)
+        doc_a = num_col(part, "doc_id_a", np.int64)
         kmap = {int(d): int(v) for d, v in zip(doc_a[k >= 0], k[k >= 0])}
         return _fp_pair_scores(
             part.filter(pa.array(k < 0)), kmap, min_shared

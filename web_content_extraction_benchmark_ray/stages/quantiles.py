@@ -47,7 +47,7 @@ def exact_quantiles(
     from ray.data.aggregate import Sum
 
     def hist(batch: pa.Table) -> pa.Table:
-        v = num_col(batch.column(col), np.float64)
+        v = num_col(batch, col, np.float64)
         if v.size == 0:
             return pa.table(
                 {
@@ -97,7 +97,7 @@ def exact_quantiles(
     nb_set = frozenset(needed_buckets)
 
     def pick(batch: pa.Table) -> pa.Table:
-        v = num_col(batch.column(col), np.float64)
+        v = num_col(batch, col, np.float64)
         if v.size == 0:
             return pa.table({"bucket": pa.array([], pa.int64()),
                              "v": pa.array([], pa.float64())})

@@ -51,13 +51,22 @@ def explode_spans(batch: pa.Table) -> pa.Table:
     flat = pc.list_flatten(spans)
     parents = pc.list_parent_indices(spans)
     doc_id = pc.take(batch.column("doc_id"), parents)
+    offset = flat.field("offset")
+    if offset.null_count:
+        # offset is dense and 0-based (FIXTURES.md §1); both lanes and
+        # checkpoint partitions pass here, so a null fails the same way
+        first = pc.filter(doc_id, pc.is_null(offset))[0].as_py()
+        raise ValueError(
+            f"{offset.null_count} span(s) have a null offset "
+            f"(first in doc_id {first!r})"
+        )
     return pa.table(
         {
             "doc_id": doc_id,
             "kind": flat.field("kind"),
             "text": flat.field("text"),
             "media_ref": flat.field("media_ref"),
-            "offset": flat.field("offset"),
+            "offset": offset,
         }
     )
 
@@ -169,7 +178,7 @@ def add_salt_bucket(
     function of (doc_id, salt) is correct here — assembly restores order
     by (salt, offset), so the bucket only routes (property-tested in
     tests/test_state.py)."""
-    salts = num_col(batch.column("offset"), np.int64) // salt_range
+    salts = num_col(batch, "offset", np.int64) // salt_range
     buckets = wide_bucket(batch.column("doc_id"), salt=salts)
     return batch.append_column(
         "salt", pa.array(salts, pa.int64())

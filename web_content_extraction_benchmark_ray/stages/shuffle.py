@@ -35,6 +35,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.arrownp import num_col
+
 WIDE_SPACE = 1 << 20
 PARTITION_TARGET_BYTES = 64 << 20  # keep a partition well under block limits
 SMALL_PARTITION_BYTES = 16 << 20  # smaller ones cost more than they spread
@@ -98,7 +100,7 @@ def wide_bucket(col, salt: np.ndarray | None = None) -> np.ndarray:
     buckets = np.empty(n, dtype=np.int32)
     if pa.types.is_integer(col.type):
         numeric = np.ones(n, dtype=bool)
-        ints = col.to_numpy(zero_copy_only=False).astype(np.int64)
+        ints = num_col(col, "key", np.int64)
         strs = None
     else:
         strs = pc.cast(col, pa.string())
@@ -113,9 +115,8 @@ def wide_bucket(col, salt: np.ndarray | None = None) -> np.ndarray:
         numeric = mask.to_numpy(zero_copy_only=False)
         ints = None
         if numeric.any():
-            ints = pc.cast(strs.filter(mask), pa.int64()).to_numpy(
-                zero_copy_only=False
-            )
+            digits = pc.cast(strs.filter(mask), pa.int64())
+            ints = num_col(digits, "key", np.int64)
     if numeric.any():
         mixed = ints.astype(np.uint64) * _KNUTH
         if salt is not None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..functions.arrownp import num_col
+from ..functions.arrownp import list_matrix, num_col
 from ..state.memo import fetch
 from .shuffle import co_partition, wide_bucket
 import pyarrow as pa
@@ -45,8 +45,8 @@ def load_query_matrix(embeddings_path: str) -> tuple[np.ndarray, np.ndarray]:
         embeddings_path, columns=["vec_id", "embedding"],
         filters=[("vec_id", "<", N_QUERIES)],
     )
-    qids = num_col(t.column("vec_id"), np.int64)
-    vecs = np.array(t.column("embedding").to_pylist(), dtype=np.float64)
+    qids = num_col(t, "vec_id", np.int64)
+    vecs = list_matrix(t.column("embedding"), np.float64)
     order = np.argsort(qids)
     return qids[order], vecs[order]
 
@@ -56,10 +56,6 @@ def emb_matrix(col) -> np.ndarray:
     to_pylist round-trip: flatten() honors list offsets and hands numpy
     the raw value buffer (near zero-copy).  Ragged input raises
     (functions/arrownp.py)."""
-    import pyarrow as _pa
-
-    from ..functions.arrownp import list_matrix
-
     return list_matrix(col, np.float64)
 
 
@@ -98,7 +94,7 @@ def partial_topk_batch(batch: pa.Table, queries_ref) -> pa.Table:
     """Task-pool batch stage: broadcast query matrix fetched once per
     worker process."""
     qids, qmat = fetch(queries_ref)
-    vec_ids = num_col(batch.column("vec_id"), np.int64)
+    vec_ids = num_col(batch, "vec_id", np.int64)
     vecs = emb_matrix(batch.column("embedding"))
     if vecs.size == 0:
         return pa.table(
@@ -114,8 +110,8 @@ def partial_topk_batch(batch: pa.Table, queries_ref) -> pa.Table:
 def merge_topk(group: pa.Table) -> pa.Table:
     """Final per-query merge: global top-k + dense rank."""
     qid = group.column("query_id")[0].as_py()
-    vec_ids = num_col(group.column("vec_id"), np.int64)
-    cos = num_col(group.column("cos_r"), np.float64)
+    vec_ids = num_col(group, "vec_id", np.int64)
+    cos = num_col(group, "cos_r", np.float64)
     order = np.lexsort((vec_ids, -cos))[:KNN_K]
     return pa.table(
         {
@@ -149,7 +145,7 @@ def knn_ivf(ds, queries_ref):
         # ``fetch`` as knn_bruteforce) — a driver-side ray.get here would
         # serialize the matrix into every map_groups task closure
         qids, qmat = fetch(queries_ref)
-        vec_ids = num_col(group.column("vec_id"), np.int64)
+        vec_ids = num_col(group, "vec_id", np.int64)
         vecs = emb_matrix(group.column("embedding"))
         return _partial_topk(qids, qmat, vec_ids, vecs)
 
@@ -210,7 +206,7 @@ def _int_hyperplanes(dim: int) -> np.ndarray:
 def rhp_band_rows(batch: pa.Table) -> pa.Table:
     """(vec_id, embedding) -> one LIGHT row per (vector, band): integer
     sign-bit band value + wide-space sort bucket.  Fully vectorized."""
-    vec_ids = num_col(batch.column("vec_id"), np.int64)
+    vec_ids = num_col(batch, "vec_id", np.int64)
     n = len(vec_ids)
     if n == 0:
         return pa.table(
@@ -255,9 +251,9 @@ def rhp_candidate_pairs(group: pa.Table) -> pa.Table:
     no per-pair Python."""
     from . import dedup as _dedup
 
-    band = num_col(group.column("band_id"), np.int64)
-    val = num_col(group.column("band_val"), np.int64)
-    vid = num_col(group.column("vec_id"), np.int64)
+    band = num_col(group, "band_id", np.int64)
+    val = num_col(group, "band_val", np.int64)
+    vid = num_col(group, "vec_id", np.int64)
     empty = pa.table(
         {
             "doc_id_a": pa.array([], pa.int64()),
@@ -353,8 +349,8 @@ def cosine_dup_pairs_lsh(ds, threshold: float = COS_DUP_THRESHOLD,
     pairs = co_partition(rows, rhp_candidate_pairs, partitions=partitions)
 
     def pair_sides(batch: pa.Table) -> pa.Table:
-        a = num_col(batch.column("doc_id_a"), np.int64)
-        b = num_col(batch.column("doc_id_b"), np.int64)
+        a = num_col(batch, "doc_id_a", np.int64)
+        b = num_col(batch, "doc_id_b", np.int64)
         vkey = np.concatenate([a, b])
         pair_a = np.concatenate([a, a])
         pair_b = np.concatenate([b, b])
@@ -371,7 +367,7 @@ def cosine_dup_pairs_lsh(ds, threshold: float = COS_DUP_THRESHOLD,
         )
 
     def vec_rows(batch: pa.Table) -> pa.Table:
-        vec_ids = num_col(batch.column("vec_id"), np.int64)
+        vec_ids = num_col(batch, "vec_id", np.int64)
         if len(vec_ids) == 0:
             return pa.table(
                 {
@@ -403,16 +399,16 @@ def cosine_dup_pairs_lsh(ds, threshold: float = COS_DUP_THRESHOLD,
     vside = ds.map_batches(vec_rows, batch_format="pyarrow")
 
     def attach(part: pa.Table) -> pa.Table:
-        kinds = num_col(part.column("kind"), np.int32)
-        vkeys = num_col(part.column("vkey"), np.int64)
+        kinds = num_col(part, "kind", np.int32)
+        vkeys = num_col(part, "vkey", np.int64)
         nvec_l = part.column("nvec").to_pylist()
         vecs = {
             int(k): nvec_l[i]
             for i, k in enumerate(vkeys)
             if kinds[i] == 0
         }
-        pa_l = num_col(part.column("pair_a"), np.int64)
-        pb_l = num_col(part.column("pair_b"), np.int64)
+        pa_l = num_col(part, "pair_a", np.int64)
+        pb_l = num_col(part, "pair_b", np.int64)
         out_a, out_b, out_k, out_v = [], [], [], []
         for i in range(len(kinds)):
             if kinds[i] == 1:
@@ -437,9 +433,9 @@ def cosine_dup_pairs_lsh(ds, threshold: float = COS_DUP_THRESHOLD,
     )
 
     def verify(part: pa.Table) -> pa.Table:
-        pa_l = num_col(part.column("pair_a"), np.int64)
-        pb_l = num_col(part.column("pair_b"), np.int64)
-        vk_l = num_col(part.column("vkey"), np.int64)
+        pa_l = num_col(part, "pair_a", np.int64)
+        pb_l = num_col(part, "pair_b", np.int64)
+        vk_l = num_col(part, "vkey", np.int64)
         nv_l = part.column("nvec").to_pylist()
         by_pair: dict = {}
         for i in range(len(pa_l)):

@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..functions.arrownp import num_col
 from .shuffle import co_partition
 
 _OPS = ("sum", "min", "max", "count")
@@ -56,7 +57,7 @@ def bucketed_groupby(
         if is_str:
             keys = np.asarray(kcol.to_pylist(), dtype=object)
         else:
-            keys = np.asarray(kcol.to_pylist(), dtype=np.int64)
+            keys = num_col(kcol, key, np.int64)
         uk, kinv = np.unique(keys, return_inverse=True)
         cols: dict = {
             key: pa.array(
@@ -72,7 +73,7 @@ def bucketed_groupby(
                     pa.int64(),
                 )
                 continue
-            v = np.asarray(group.column(val).to_pylist(), dtype=np.int64)
+            v = num_col(group, val, np.int64)
             if op == "sum":
                 acc = np.zeros(len(uk), dtype=np.int64)
                 np.add.at(acc, kinv, v)

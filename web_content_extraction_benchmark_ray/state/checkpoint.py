@@ -18,7 +18,9 @@ Layout under ``out_dir``::
 A partition is complete iff its manifest exists; ``run_checkpointed`` is
 idempotent — rerunning after a crash commits only manifest-less
 partitions (the anti-join against the manifest is the resume path) and
-never rewrites completed ones.
+never rewrites completed ones.  A pid names a different doc set under
+another partition count, so a resume with a P other than the committed
+manifests' raises a ``ValueError`` instead of mixing the two.
 
 Lineage record fields (FIXTURES.md §6): partition id, input files,
 models, doc/row/error counts, wall ms, partition count — enough to
@@ -289,6 +291,16 @@ def run_checkpointed(
     partition's commit, plus the sealed ``wall_ms`` of the invocation
     that computed it when that was an earlier one."""
     t0 = time.perf_counter()
+    other = {
+        r.get("num_partitions", num_partitions) for r in read_lineage(out_dir)
+    }
+    other.discard(num_partitions)
+    if other:
+        raise ValueError(
+            f"{out_dir} holds partitions committed with num_partitions="
+            f"{sorted(other)}; this run asks for num_partitions="
+            f"{num_partitions}"
+        )
     os.makedirs(_manifest_dir(out_dir), exist_ok=True)
     done = completed_partitions(out_dir)
     pending = [pid for pid in range(num_partitions) if pid not in done]
