@@ -78,7 +78,7 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False,
     # steady-state throughput, not interpreter startup).
     warm_spans = build_spans_table("/root/testdata/sf0.001")
     _consume(
-        extraction_pipeline(warm_spans, models=HEADLINE_MODELS, batch_size=32)
+        extraction_pipeline(warm_spans, models=HEADLINE_MODELS)
     )
 
     timings: dict[str, float] = {}
@@ -102,17 +102,16 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False,
     #
     # Full-bench mode writes the output to the shared extraction cache
     # (pipelines/extractcache.py) — the production sink shape: extraction
-    # lands in partitioned storage ONCE and scores_build streams its
-    # models back instead of re-extracting (round-2 judge item).  The
-    # timing therefore includes the parquet write; --headline-only (the
-    # scaling path) keeps the pure-compute count for clean docs/sec.
+    # lands in checkpointed partitions ONCE (run_checkpointed: slices,
+    # seals, commits, one lineage record per partition) and scores_build
+    # streams its models back instead of re-extracting.  The timing
+    # therefore includes the write and the read back; --headline-only
+    # (the scaling path) keeps the pure-compute count for clean docs/sec.
     if headline_only or repeat != 1:
         timed(
             "extract_multi",
             lambda: _consume(
-                extraction_pipeline(
-                    spans_path, models=HEADLINE_MODELS, batch_size=32
-                )
+                extraction_pipeline(spans_path, models=HEADLINE_MODELS)
             ),
         )
     else:
@@ -122,9 +121,7 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False,
 
         def _extract_to_cache():
             extractcache.clear(sf_dir)  # every trial pays the full build
-            extractcache.ensure(
-                sf_dir, HEADLINE_MODELS, batch_size=32
-            )
+            extractcache.ensure(sf_dir, HEADLINE_MODELS)
             return _consume(
                 extractcache.read(sf_dir, HEADLINE_MODELS)
             )

@@ -59,6 +59,7 @@ def test_cache_keeps_one_version_per_sf_dir(ray_session, tmp_path, monkeypatch):
     fresh build removes the older one."""
     from web_content_extraction_benchmark_ray.pipelines import extractcache as ec
     from web_content_extraction_benchmark_ray.sources import synth
+    from web_content_extraction_benchmark_ray.state import checkpoint
 
     cache = tmp_path / "cache"
     monkeypatch.setattr(ec, "CACHE_ROOT", str(cache))
@@ -90,7 +91,11 @@ def test_cache_keeps_one_version_per_sf_dir(ray_session, tmp_path, monkeypatch):
     assert not os.path.exists(first_extract)
     want = sorted(str(i) for i in new_ids)
     assert sorted(set(_ids(spans))) == want
-    assert _ids(extract) == want
+    # the batch is a checkpoint directory: one lineage record per partition
+    assert _ids(checkpoint.committed_files(extract)) == want
+    recs = checkpoint.read_lineage(extract)
+    assert len(recs) == checkpoint.DEFAULT_NUM_PARTITIONS
+    assert sum(r["doc_count"] for r in recs) == len(new_ids)
 
 
 def test_memo_rebuilds_on_source_change_and_holds_one_entry_per_name(

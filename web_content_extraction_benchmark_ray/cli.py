@@ -4,14 +4,16 @@ Analogue of the reference's ``wceb`` click group (``/root/reference/src/
 extraction_benchmark/wceb.py:19-34`` with subcommands convert-datasets /
 extract / eval / complexity).  Subcommands:
 
-    extract     spans table -> per-(doc, model) extractions -> parquet
-                (optionally checkpointed: partition-granular resume)
+    extract     spans table -> per-(doc, model) extractions -> a
+                checkpoint directory (state/checkpoint.py: one lineage
+                record per partition, partition-granular resume)
     eval        extractions x truth -> score records -> parquet
     complexity  per-doc complexity + HTML features -> parquet
     query       run any ``queries()`` entry by name -> parquet
 
-This module OWNS the Ray session (guarded — the library never calls
-``ray.init``).  On a cluster the same command line runs unchanged:
+This module starts the Ray session when none is running and shuts down
+only a session it started (the library never calls ``ray.init``).  On a
+cluster the same command line runs unchanged:
 ``ray job submit --working-dir . -- python -m web_content_extraction_benchmark_ray.cli extract ...``
 with ``address="auto"`` picked up from the job environment.
 
@@ -19,7 +21,7 @@ Example::
 
     python -m web_content_extraction_benchmark_ray.cli extract \
         --sf-dir /root/testdata/sf0.001 --models bte,justext \
-        --out /tmp/out --checkpoint
+        --out /tmp/out
 """
 from __future__ import annotations
 
@@ -29,47 +31,36 @@ import os
 import sys
 
 
-def _ray_init(num_cpus: int | None):
+def _ray_init(num_cpus: int | None) -> bool:
+    """Start a Ray session unless one is running; True when this call
+    started it (and so owns its shutdown)."""
     import ray
 
-    if not ray.is_initialized():
-        kwargs = {"include_dashboard": False, "logging_level": "ERROR"}
-        if num_cpus is not None:
-            kwargs["num_cpus"] = num_cpus
-        ray.init(address=os.environ.get("RAY_ADDRESS", "local"), **kwargs)
-    return ray
+    if ray.is_initialized():
+        return False
+    kwargs = {"include_dashboard": False, "logging_level": "ERROR"}
+    if num_cpus is not None:
+        kwargs["num_cpus"] = num_cpus
+    ray.init(address=os.environ.get("RAY_ADDRESS", "local"), **kwargs)
+    return True
 
 
 def cmd_extract(args) -> dict:
-    from .pipelines.extraction import extraction_pipeline
     from .sources.synth import build_spans_table
     from .state.checkpoint import read_lineage, run_checkpointed
 
-    models = tuple(args.models.split(","))
     spans = args.spans or build_spans_table(args.sf_dir)
-    if args.checkpoint:
-        run_checkpointed(
-            spans, args.out, models=models,
-            num_partitions=args.num_partitions,
-        )
-        recs = read_lineage(args.out)
-        return {
-            "partitions": len(recs),
-            "docs": sum(r["doc_count"] for r in recs),
-            "errors": sum(r["error_count"] for r in recs),
-        }
-    salted = {"auto": "auto", "true": True, "false": False}[
-        str(args.salted).lower()
-    ]
-    hlb = str(args.heavy_lane_bytes).lower()
-    heavy_lane = (
-        "auto" if hlb == "auto" else None if hlb == "none" else int(hlb)
+    new = run_checkpointed(
+        spans, args.out, models=tuple(args.models.split(",")),
+        num_partitions=args.num_partitions,
     )
-    ds = extraction_pipeline(
-        spans, models=models, salted=salted, heavy_lane_bytes=heavy_lane,
-    )
-    ds.write_parquet(args.out)
-    return {"rows": ds.count()}
+    recs = read_lineage(args.out)
+    return {
+        "committed": len(new),
+        "partitions": len(recs),
+        "docs": sum(r["doc_count"] for r in recs),
+        "errors": sum(r["error_count"] for r in recs),
+    }
 
 
 def cmd_eval(args) -> dict:
@@ -161,14 +152,7 @@ def main(argv=None) -> None:
                    help="existing spans table (default: synthesize from sf-dir)")
     p.add_argument("--models", default="bte,justext,density")
     p.add_argument("--out", required=True)
-    p.add_argument("--checkpoint", action="store_true")
     p.add_argument("--num-partitions", type=int, default=8)
-    p.add_argument("--salted", default="auto",
-                   help="auto (default: salt only the heavy lane), "
-                        "true (whole pipeline), false (never)")
-    p.add_argument("--heavy-lane-bytes", default="auto",
-                   help="auto (default: metadata probe + census), an "
-                        "explicit byte threshold, or none (single lane)")
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("eval")
@@ -200,12 +184,15 @@ def main(argv=None) -> None:
     p.set_defaults(fn=cmd_query)
 
     args = ap.parse_args(argv)
-    ray = _ray_init(args.num_cpus)
+    started = _ray_init(args.num_cpus)
     try:
         out = args.fn(args)
         print(json.dumps({"cmd": args.cmd, **out}))
     finally:
-        ray.shutdown()
+        if started:
+            import ray
+
+            ray.shutdown()
 
 
 if __name__ == "__main__":

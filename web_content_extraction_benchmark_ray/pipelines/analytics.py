@@ -36,7 +36,7 @@ from ..sources.storage import read_table
 from ..stages.coalesce import coalesce_small
 from ..functions.text import round6, tokenize_ws
 from ..functions.arrownp import list_matrix, num_col
-from ..stages.simsearch import _norm, emb_matrix
+from ..stages.simsearch import _norm
 from ..state.memo import fetch, memo
 
 VOCAB_K = 20
@@ -412,7 +412,7 @@ def _load_centroids(sf_dir: str, k: int = KMEANS_K) -> np.ndarray:
 def _assign_batch(batch: pa.Table, cent_ref) -> pa.Table:
     cents = fetch(cent_ref)
     vec_ids = num_col(batch, "vec_id", np.int64)
-    vecs = emb_matrix(batch.column("embedding"))
+    vecs = list_matrix(batch.column("embedding"), np.float64)
     # rounded cosine, ties -> lowest centroid index (argmax on reversed
     # negation is first-max, which IS lowest index)
     cos = np.floor((_norm(vecs) @ _norm(cents).T) * 1e6 + 0.5) / 1e6
@@ -480,7 +480,7 @@ def train_centroids(ds, cents: np.ndarray, iters: int) -> np.ndarray:
 
         def partial_update(batch: pa.Table, cent_ref=cent_ref) -> pa.Table:
             c = fetch(cent_ref)
-            vecs = emb_matrix(batch.column("embedding"))
+            vecs = list_matrix(batch.column("embedding"), np.float64)
             cos = np.floor((_norm(vecs) @ _norm(c).T) * 1e6 + 0.5) / 1e6
             cl = cos.argmax(axis=1)
             xq = np.floor(vecs * 1e6 + 0.5).astype(np.int64)

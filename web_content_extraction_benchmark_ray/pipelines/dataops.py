@@ -1253,7 +1253,7 @@ def semdedup_flags(ds, cents: np.ndarray):
                     "nvec": pa.array([], pa.list_(pa.float64())),
                 }
             )
-        nvecs = ss._norm(ss.emb_matrix(batch.column("embedding")))
+        nvecs = ss._norm(list_matrix(batch.column("embedding"), np.float64))
         cl = _sem_cluster(nvecs, ncents)
         keep_idx = []
         for c in np.unique(cl):
@@ -1306,7 +1306,7 @@ def semdedup_flags(ds, cents: np.ndarray):
                     "keep": pa.array([], pa.int64()),
                 }
             )
-        nvecs = ss._norm(ss.emb_matrix(batch.column("embedding")))
+        nvecs = ss._norm(list_matrix(batch.column("embedding"), np.float64))
         cl = _sem_cluster(nvecs, ncents)
         keep = np.ones(len(ids), dtype=np.int64)
         for c in np.unique(cl):

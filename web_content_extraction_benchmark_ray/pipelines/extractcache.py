@@ -1,51 +1,44 @@
 """Shared per-(sf_dir, model) extraction output cache.
 
-Round-2 judge finding: ``scores_build`` re-ran extraction for its two
-eval models while the per-model extract queries (and the bench headline)
-had already computed the same rows — extraction output is the engine's
-most expensive artifact and was never reused across consumers.  This
-module is the sharing layer: every consumer (the ``extract_*`` queries,
-``scores_pipeline``, the bench headline) routes through one parquet
-layout keyed by (sf_dir, model), so each model's extraction is computed
-EXACTLY ONCE per corpus and every later consumer streams it back from
-disk.
+Extraction output is the engine's most expensive artifact, so every
+consumer (the ``extract_*`` queries, ``scores_pipeline``, the bench
+headline) reads it from here: each model is extracted ONCE per corpus.
 
 Layout (keyed like every cache of derived state, ``state/memo.py``: the
 source files' ``file_key`` plus the package code fingerprint)::
 
     /tmp/wceb_cache/extract-{md5(sf_dir)[:16]}/
       {md5(documents file_key)[:16]}-{code}/
-        _SOURCE          absolute source path (stale/foreign guard)
-        _MANIFEST.json   {"batches": {"b0000": ["bte", ...], ...}}
-        b0000/*.parquet  full EXTRACTIONS-schema rows for those models
+        b0000/, b0001/, ...   one run_checkpointed directory per batch
 
-Computing a batch first removes the older versions of the same sf_dir
-(``state/memo.drop_other_versions``), so one version per corpus stays.
-
-Missing models are computed in ONE ``extraction_pipeline`` run per
-``ensure`` call (each document's one ``Page`` amortizes the DOM parse
-across every model in the batch — ``stages/extract.py``)
-and land in a NEW batch directory; the manifest update is atomic
-(tmp + rename), so a crashed build never corrupts completed batches —
-the next run simply recomputes the missing models into a fresh batch.
-
-At production scale this cache IS the pipeline's primary output sink
-(extraction lands in partitioned storage once; scoring, dedup and
-analytics all read from it), which is why the bench times the build as
-its own entry instead of hiding it.
+A batch has no layout or completion rule of its own: it is complete when
+all ``DEFAULT_NUM_PARTITIONS`` partitions are committed, and its models
+are its lineage records' ``models``.  Only complete batches serve a
+read; a batch whose lineage names other input files than the corpus's
+spans table is removed and recomputed.  Missing models are computed in
+ONE ``run_checkpointed`` call (one ``Page`` per document shares its
+parse across the batch's models) into a new batch; a killed build is
+resumed, keeping its committed and sealed partitions, by the next
+``ensure`` that asks for one of its models.  Computing a batch first
+removes the older versions of the sf_dir (``drop_other_versions``).
 """
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import shutil
 from contextlib import contextmanager
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data
 
+from ..sources.storage import read_spans, table_files
+from ..state.checkpoint import (
+    DEFAULT_NUM_PARTITIONS,
+    committed_files,
+    read_lineage,
+    run_checkpointed,
+)
 from ..state.memo import (
     CACHE_ROOT,
     artifact_root,
@@ -53,6 +46,7 @@ from ..state.memo import (
     drop_other_versions,
     source_key,
 )
+
 
 def _cache_dir(sf_dir: str) -> str:
     docs = source_key(os.path.join(sf_dir, "documents.parquet"))
@@ -63,52 +57,18 @@ def _cache_dir(sf_dir: str) -> str:
     )
 
 
-def _load_manifest(root: str, src: str) -> dict:
-    """Manifest of completed batches; wipes a stale/foreign cache dir."""
-    marker = os.path.join(root, "_SOURCE")
-    mpath = os.path.join(root, "_MANIFEST.json")
-    if os.path.isdir(root):
-        try:
-            with open(marker) as f:
-                ok = f.read().strip() == src
-        except OSError:
-            ok = False
-        if ok and os.path.exists(mpath):
-            with open(mpath) as f:
-                return json.load(f)
-        if not ok:
-            shutil.rmtree(root, ignore_errors=True)
-    return {"batches": {}}
-
-
-def _store_manifest(root: str, src: str, manifest: dict) -> None:
-    os.makedirs(root, exist_ok=True)
-    with open(os.path.join(root, "_SOURCE"), "w") as f:
-        f.write(src)
-    tmp = os.path.join(root, "_MANIFEST.json.tmp")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f)
-    os.replace(tmp, os.path.join(root, "_MANIFEST.json"))
-
-
 def clear(sf_dir: str) -> None:
     shutil.rmtree(_cache_dir(sf_dir), ignore_errors=True)
 
 
 @contextmanager
 def _writer_lock(root: str):
-    """Exclusive advisory lock for the compute+manifest-update critical
-    section.  Two concurrent drivers over the same sf_dir previously both
-    read the same manifest, picked the same next batch name, and
-    rmtree'd/overwrote each other's parquet output while the second
-    ``_store_manifest`` silently dropped the first's batch entry — a
-    lost-update race on what is the production output sink.  flock scopes
-    the lock to the fd, so a crashed holder releases it automatically.
-
-    The lock file lives NEXT TO the cache dir, not inside it: the
-    stale-cache wipe in ``_load_manifest`` rmtree's the dir, and a lock
-    file deleted mid-hold would hand the next opener a fresh inode whose
-    flock no longer excludes the current holder."""
+    """Exclusive advisory lock for the compute section: two concurrent
+    drivers would otherwise pick the same batch and write into each
+    other's partitions.  flock scopes the lock to the fd, so a crashed
+    holder releases it.  The lock file lives NEXT TO the cache dir:
+    ``clear`` rmtree's the dir, and a lock file deleted mid-hold would
+    hand the next opener an inode the current holder does not lock."""
     import fcntl
 
     os.makedirs(os.path.dirname(root) or ".", exist_ok=True)
@@ -121,62 +81,87 @@ def _writer_lock(root: str):
         os.close(fd)
 
 
-def ensure(sf_dir: str, models, **pipeline_kwargs) -> list[str]:
+def _batches(root: str, inputs: list[str]) -> dict[str, tuple]:
+    """Each batch under ``root`` -> ``(models, complete)``; ``models`` is
+    None while no partition is committed.  A batch whose lineage names
+    input files other than ``inputs`` is removed."""
+    out = {}
+    for name in sorted(os.listdir(root)) if os.path.isdir(root) else ():
+        batch = os.path.join(root, name)
+        records = read_lineage(batch)
+        if any(r["input_files"] != inputs for r in records):
+            shutil.rmtree(batch, ignore_errors=True)
+            continue
+        models = records[0]["models"] if records else None
+        out[name] = (models, len(records) == DEFAULT_NUM_PARTITIONS)
+    return out
+
+
+def _missing(batches: dict, models: tuple) -> list[str]:
+    have = {m for ms, complete in batches.values() if complete for m in ms}
+    return [m for m in models if m not in have]
+
+
+def _next_batch(batches: dict, missing: list[str]) -> tuple[str, tuple]:
+    """The batch to compute and its models: an incomplete batch that
+    holds a missing model (or has committed nothing yet) is resumed,
+    else a new batch is started for ``missing``."""
+    for name, (ms, complete) in batches.items():
+        if not complete and (ms is None or set(ms) & set(missing)):
+            return name, tuple(ms or missing)
+    i = 0
+    while f"b{i:04d}" in batches:
+        i += 1
+    return f"b{i:04d}", tuple(missing)
+
+
+def ensure(sf_dir: str, models) -> list[str]:
     """Make sure every model in ``models`` has cached extraction output;
-    compute the missing ones in one shared-parse pipeline run.  Returns
-    the batch directories that together cover ``models``.
+    compute the missing ones in one shared-parse run.  Returns the
+    complete batch directories that together cover ``models``.
 
     Fully-cached requests take the lock-free fast path; a cache miss
-    enters the writer lock and RE-READS the manifest (double-checked
+    enters the writer lock and RE-READS the batches (double-checked
     locking), so concurrent drivers compute each missing model exactly
-    once and never clobber each other's batch directories."""
-    from .extraction import extraction_pipeline
+    once and never write into each other's batch directories."""
     from ..sources.synth import build_spans_table
 
     models = tuple(models)
     root = _cache_dir(sf_dir)
-    src = os.path.abspath(sf_dir)
-    manifest = _load_manifest(root, src)
-    have = {m for ms in manifest["batches"].values() for m in ms}
-    if not all(m in have for m in models):
+    spans = build_spans_table(sf_dir)
+    inputs = table_files(spans)
+    batches = _batches(root, inputs)
+    if _missing(batches, models):
         with _writer_lock(root):
-            manifest = _load_manifest(root, src)
-            have = {m for ms in manifest["batches"].values() for m in ms}
-            missing = tuple(m for m in models if m not in have)
-            if missing:
+            while True:
+                batches = _batches(root, inputs)
+                missing = _missing(batches, models)
+                if not missing:
+                    break
                 drop_other_versions(root)
-                spans = build_spans_table(sf_dir)
-                name = f"b{len(manifest['batches']):04d}"
-                out = os.path.join(root, name)
-                shutil.rmtree(out, ignore_errors=True)
-                os.makedirs(root, exist_ok=True)
-                extraction_pipeline(
-                    spans, models=missing, **pipeline_kwargs
-                ).write_parquet(out)
-                manifest["batches"][name] = list(missing)
-                _store_manifest(root, src, manifest)
+                name, batch_models = _next_batch(batches, missing)
+                run_checkpointed(
+                    spans, os.path.join(root, name), models=batch_models
+                )
     wanted = set(models)
     return [
         os.path.join(root, name)
-        for name, ms in sorted(manifest["batches"].items())
-        if wanted & set(ms)
+        for name, (ms, complete) in batches.items()
+        if complete and wanted & set(ms)
     ]
 
 
-def read(sf_dir: str, models, columns=None, **pipeline_kwargs):
+def read(sf_dir: str, models, columns=None):
     """Dataset of cached EXTRACTIONS rows for exactly ``models`` (a batch
-    dir may hold extra models — they are filtered out)."""
-    import glob
-
+    may hold extra models — they are filtered out)."""
     models = tuple(models)
-    dirs = ensure(sf_dir, models, **pipeline_kwargs)
-    files = sorted(
-        f for d in dirs for f in glob.glob(os.path.join(d, "*.parquet"))
-    )
+    files = [f for d in ensure(sf_dir, models) for f in committed_files(d)]
     read_cols = columns
     if columns is not None and "model" not in columns:
         read_cols = list(columns) + ["model"]
-    ds = ray.data.read_parquet(files, columns=read_cols)
+    # the read's block geometry: many small slice files read with Ray's
+    # default ask get split, and a split read does not fuse with ``keep``
+    ds = read_spans(files, columns=read_cols)
     wanted = pa.array(list(models), pa.string())
 
     def keep(batch: pa.Table) -> pa.Table:

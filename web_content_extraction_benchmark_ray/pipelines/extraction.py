@@ -33,10 +33,14 @@ from ..stages.reassemble import (
     assemble_group,
     assemble_salted,
     explode_spans,
+    partial_assemble_group,
 )
 from ..stages.shuffle import add_bucket, co_partition, partition_count
 from ..stages.skew import filter_doc_ids, filter_partition
 from ..state.memo import memo
+
+PLAIN_BATCH = 64  # docs per extract call in the plain lane
+HEAVY_BATCH = 1  # one oversized doc per extract call
 
 
 def _resolve_heavy_ids(spans_path, heavy_lane_bytes, salted):
@@ -107,7 +111,6 @@ def _lane_rows(batch, partition, ids_ref, keep, salted):
 def extraction_pipeline(
     spans_path: str,
     models=DEFAULT_MODELS,
-    batch_size: int = 64,
     heavy_lane_bytes="auto",
     salted="auto",
     partition: tuple | None = None,
@@ -151,6 +154,14 @@ def extraction_pipeline(
         )
         # salted: two-phase skew-resistant reassembly (same output) for
         # inputs with pathological span-count tails (stages/reassemble.py)
+        if salted and keep:
+            # the heavy lane: phase 2's keys are the heavy docs, and a
+            # partition without one would still cost a (0-column) block
+            partials = co_partition(rows, partial_assemble_group)
+            return co_partition(
+                partials, assemble_group, key="doc_id",
+                partitions=min(partition_count(), len(heavy_ids)),
+            )
         if salted:
             return assemble_salted(rows)
         # size-aware partitioning: the caller knows the table's on-disk
@@ -169,7 +180,7 @@ def extraction_pipeline(
         )
 
     if not heavy_ids:
-        return extract(lane(salted), batch_size)
+        return extract(lane(salted), PLAIN_BATCH)
     # Two-lane routing, split AT THE SOURCE by a broadcast id predicate:
     # oversized docs go through a salted reassembly and a batch_size=1
     # extract so a 50 MB pathological page never pins a plain-reassembly
@@ -177,6 +188,6 @@ def extraction_pipeline(
     # each lane is an independent streaming read; the heavy lane prunes
     # to a handful of docs immediately.
     ids_ref = ray.put(heavy_ids)
-    out_light = extract(lane(salted, ids_ref, keep=False), batch_size)
-    out_heavy = extract(lane(heavy_lane_salted, ids_ref, keep=True), 1)
+    out_light = extract(lane(salted, ids_ref, keep=False), PLAIN_BATCH)
+    out_heavy = extract(lane(heavy_lane_salted, ids_ref, keep=True), HEAVY_BATCH)
     return out_light.union(out_heavy)

@@ -76,8 +76,9 @@ def read_table(uri: str, *, columns=None, override_num_blocks=None,
     )
 
 
-def capped_num_blocks(uri: str, requested: int) -> int:
-    """Cap a block-count ask at the table's row-group count.
+def capped_num_blocks(uri, requested: int) -> int:
+    """Cap a block-count ask at the row-group count of a table (a path,
+    or a list of its parquet files).
 
     Ray fulfils an over-ask by synthesizing zero-row read blocks that
     carry NO schema; those empty bundles flip the operator's output
@@ -87,7 +88,7 @@ def capped_num_blocks(uri: str, requested: int) -> int:
     pay nothing."""
     import pyarrow.parquet as pq
 
-    files = table_files(uri)
+    files = table_files(uri) if isinstance(uri, str) else uri
     if len(files) >= requested:
         return requested
     rg = 0
@@ -101,14 +102,16 @@ def capped_num_blocks(uri: str, requested: int) -> int:
     return max(1, rg)
 
 
-def read_spans(uri: str, columns=None, num_blocks: int | None = None):
-    """Read a spans/parquet table with the session's block geometry.
+def read_spans(uri, columns=None, num_blocks: int | None = None):
+    """Read a spans/parquet table (a path, or a list of its parquet files)
+    with the session's block geometry.
 
     ``num_blocks`` defaults to 2 per CPU: few enough that a shuffle's
     mapper x reducer fragment count stays small at small scale, enough to
     keep every CPU busy.  The ask is capped at the table's row-group
-    count so no zero-row block is ever created.  The pipeline's reads and
-    the skew census both come through here, so they share one rule."""
+    count so no zero-row block is ever created.  The pipeline's reads, the
+    skew census and the extraction cache's reads all come through here,
+    so they share one rule."""
     import ray.data
 
     from ..stages.shuffle import session_cpus

@@ -25,7 +25,11 @@ the partition count, not a bucket count, sets the parallelism.
 CONTRACT: Ray's sort materializes exactly one block per output partition
 (pinned by tests/test_sort_block_contract.py), so ``fn`` always sees
 whole keys.  If a Ray upgrade breaks that, the pinned test goes red.
-A partition with no rows makes no block and no ``fn`` call.
+A partition with no rows still yields a block: Ray's sort emits one
+with no columns, the map passes it on without an ``fn`` call, and an
+operator that sees it next to real blocks logs a "different schema"
+warning.  A caller with fewer keys than partitions (one heavy doc)
+therefore asks for fewer partitions.
 """
 from __future__ import annotations
 

@@ -51,14 +51,6 @@ def load_query_matrix(embeddings_path: str) -> tuple[np.ndarray, np.ndarray]:
     return qids[order], vecs[order]
 
 
-def emb_matrix(col) -> np.ndarray:
-    """list<float> column -> (n, dim) float64 matrix WITHOUT the
-    to_pylist round-trip: flatten() honors list offsets and hands numpy
-    the raw value buffer (near zero-copy).  Ragged input raises
-    (functions/arrownp.py)."""
-    return list_matrix(col, np.float64)
-
-
 def _norm(m: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(m, axis=1, keepdims=True)
     n[n == 0] = 1.0
@@ -95,7 +87,7 @@ def partial_topk_batch(batch: pa.Table, queries_ref) -> pa.Table:
     worker process."""
     qids, qmat = fetch(queries_ref)
     vec_ids = num_col(batch, "vec_id", np.int64)
-    vecs = emb_matrix(batch.column("embedding"))
+    vecs = list_matrix(batch.column("embedding"), np.float64)
     if vecs.size == 0:
         return pa.table(
             {
@@ -146,7 +138,7 @@ def knn_ivf(ds, queries_ref):
         # serialize the matrix into every map_groups task closure
         qids, qmat = fetch(queries_ref)
         vec_ids = num_col(group, "vec_id", np.int64)
-        vecs = emb_matrix(group.column("embedding"))
+        vecs = list_matrix(group.column("embedding"), np.float64)
         return _partial_topk(qids, qmat, vec_ids, vecs)
 
     # list count is far below the read's block count at test scale: coalesce
@@ -217,7 +209,7 @@ def rhp_band_rows(batch: pa.Table) -> pa.Table:
                 "vec_id": pa.array([], pa.int64()),
             }
         )
-    embs = emb_matrix(batch.column("embedding"))
+    embs = list_matrix(batch.column("embedding"), np.float64)
     q = np.floor(embs * RHP_Q + 0.5).astype(np.int64)
     bits = (q @ _int_hyperplanes(embs.shape[1]) >= 0).astype(np.int64)
     weights = (1 << np.arange(RHP_BAND_BITS, dtype=np.int64))
@@ -378,7 +370,7 @@ def cosine_dup_pairs_lsh(ds, threshold: float = COS_DUP_THRESHOLD,
                     "nvec": pa.array([], pa.list_(pa.float64())),
                 }
             )
-        nvecs = _norm(emb_matrix(batch.column("embedding")))
+        nvecs = _norm(list_matrix(batch.column("embedding"), np.float64))
         zeros = np.zeros(len(vec_ids), dtype=np.int64)
         offsets = np.arange(len(vec_ids) + 1, dtype=np.int64) * nvecs.shape[1]
         nvec_col = pa.LargeListArray.from_arrays(

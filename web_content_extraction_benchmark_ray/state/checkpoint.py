@@ -348,15 +348,20 @@ def run_checkpointed(
     return new_records
 
 
-def read_output(out_dir: str):
-    """Dataset over all completed partitions (``EXTRACTIONS`` rows; an
-    empty Dataset of that schema when no committed partition holds a
-    file)."""
-    files = [
+def committed_files(out_dir: str) -> list[str]:
+    """The data files of the committed partitions, in pid order."""
+    return [
         f
         for pid in sorted(completed_partitions(out_dir))
         for f in table_files(_part_dir(out_dir, pid))
     ]
+
+
+def read_output(out_dir: str):
+    """Dataset over all completed partitions (``EXTRACTIONS`` rows; an
+    empty Dataset of that schema when no committed partition holds a
+    file)."""
+    files = committed_files(out_dir)
     if not files:
         return ray.data.from_arrow(EXTRACTIONS.empty_table())
     return ray.data.read_parquet(files)

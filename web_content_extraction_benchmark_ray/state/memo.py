@@ -18,6 +18,10 @@ Three helpers hold every cache of derived state in the library:
   fingerprint and the package code fingerprint (``code_fingerprint``),
   so a rewritten input or an edited extractor never serves an old table.
 
+Extraction output persists only as ``run_checkpointed`` directories
+(``state/checkpoint.py``); ``pipelines/extractcache.py`` keeps them in an
+``artifact_root`` version directory.
+
 Every on-disk artifact lives in one version directory under its
 ``artifact_root(name, sf_dir)``, and a fresh build removes the older
 versions there (``drop_other_versions``), so the cache holds one copy
