@@ -185,3 +185,31 @@ def test_co_partition_cuts_uniform_boundaries(ray_session, monkeypatch):
     assert (lo == hi).all() and sorted(lo) == list(range(6))
     assert out["rows"].sum() == len(keys)
     assert out["keys"].sum() == 400  # no key is split between partitions
+
+
+def test_co_partition_one_partition_is_one_block(ray_session):
+    """``partitions=1`` gives ONE block holding every row, and ``fn``
+    runs once on it.  A sort given no boundaries would sample its own
+    and cut one partition per input block (4 here)."""
+    import ray.data
+
+    from web_content_extraction_benchmark_ray.stages import shuffle
+
+    keys = np.repeat(np.arange(40, dtype=np.int64), 3)
+    ds = ray.data.from_arrow(
+        pa.table({"k": keys, "v": np.ones(len(keys), np.int64)})
+    ).repartition(4)
+    assert ds.materialize().num_blocks() == 4
+
+    located = shuffle.co_partition(ds, None, key="k", partitions=1).materialize()
+    assert located.num_blocks() == 1
+    assert "Sort" not in located.stats()
+    (block,) = ray.get(located.to_arrow_refs())
+    assert sorted(block.column("k").to_pylist()) == sorted(keys.tolist())
+
+    def per_call(t: pa.Table) -> pa.Table:
+        return pa.table({"keys": [len(pc.unique(t.column("k")))],
+                         "rows": [t.num_rows]})
+
+    out = shuffle.co_partition(ds, per_call, key="k", partitions=1).to_pandas()
+    assert out.to_dict("list") == {"keys": [40], "rows": [len(keys)]}

@@ -229,14 +229,14 @@ def test_checkpoint_takes_the_pipeline_skew_route(
     )
 
     monkeypatch.setattr(memo, "_MEMO", {})
-    census = skew.heavy_doc_ids
+    census = skew.heavy_doc_spans
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return census(*args, **kwargs)
 
-    monkeypatch.setattr(skew, "heavy_doc_ids", counting)
+    monkeypatch.setattr(skew, "heavy_doc_spans", counting)
     out_dir = str(tmp_path / "ckpt")
     run_checkpointed(pathological_spans, out_dir, models=("bte",), num_partitions=4)
     assert len(calls) == 1
@@ -588,6 +588,32 @@ def test_lineage_counts_match_a_recount(ray_session, tmp_path):
         assert rec["models"] == ["bte", "flaky"]
     assert sum(r["doc_count"] for r in lineage) == 500
     assert sum(r["error_count"] for r in lineage) > 0
+
+
+def test_read_output_reads_in_session_blocks(ray_session, tmp_path):
+    """``read_output`` reads the committed slice files (one per read
+    block and partition) in the session's 2 blocks per CPU, and its rows
+    are the committed files' rows."""
+    import pyarrow.parquet as pq
+
+    from web_content_extraction_benchmark_ray.stages.shuffle import session_cpus
+    from web_content_extraction_benchmark_ray.state.checkpoint import (
+        committed_files,
+        read_output,
+        run_checkpointed,
+    )
+
+    out_dir = str(tmp_path / "ckpt")
+    run_checkpointed(build_spans_table(SF), out_dir, models=("bte",),
+                     num_partitions=8)
+    files = committed_files(out_dir)
+    assert len(files) > 2 * session_cpus()
+    ds = read_output(out_dir).materialize()
+    assert ds.num_blocks() <= 2 * session_cpus()
+    key = [("doc_id", "ascending"), ("model", "ascending")]
+    want = pq.read_table(files).replace_schema_metadata(None).sort_by(key)
+    got = pa.concat_tables(ray_session.get(ds.to_arrow_refs()))
+    assert got.sort_by(key).equals(want)
 
 
 def _break_seal(case, spans, out_dir, victim, models, monkeypatch):

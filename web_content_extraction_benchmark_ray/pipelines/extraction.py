@@ -11,8 +11,12 @@ retries and skew shrink from "one dataset x model" to "one block".
 
 Skew handling is automatic (stages/skew.py): a footer probe and, only
 when it is suspicious, a per-doc size census name the oversized docs;
-those take a salted reassembly and a batch_size=1 extract lane, split
-from the plain lane at the source by a broadcast id predicate.
+those take a heavy lane, split from the plain lane at the source by a
+broadcast id predicate, with a batch_size=1 extract.  The heavy lane's
+reassembly is one exchange on doc_id, with one partition per heavy doc
+at most; it adds the salted reassembly's first phase only when some
+heavy doc has more spans than one salt shard holds
+(``DEFAULT_SALT_RANGE``), since only then can salting split a doc.
 
 ``partition=(pids, P)`` restricts a run to a set of checkpoint
 partitions with a second source-side predicate (``filter_partition``),
@@ -29,6 +33,7 @@ import ray.data
 from ..sources.storage import read_spans, table_files
 from ..stages.extract import DEFAULT_MODELS, extract_batch
 from ..stages.reassemble import (
+    DEFAULT_SALT_RANGE,
     add_salt_bucket,
     assemble_group,
     assemble_salted,
@@ -45,15 +50,18 @@ HEAVY_BATCH = 1  # one oversized doc per extract call
 
 def _resolve_heavy_ids(spans_path, heavy_lane_bytes, salted):
     """Skew-routing decision (stages/skew.py).  Returns
-    ``(heavy_ids | None, salted_bool)``; ``heavy_ids=None`` means single
-    lane.  ``heavy_lane_bytes="auto"`` runs the metadata probe and, only
-    when suspicious, the per-doc size census; an explicit int threshold
-    runs the census directly (the round-2 post-assembly ``materialize``
-    lane split is gone — lanes now filter at the source).  Memoized per
-    (spans table files, Ray job, arguments) (``state/memo``), so repeated
-    pipeline calls over one table (bench, eval, the per-model queries,
-    a checkpoint run and its resume) probe/census once, and any rewrite
-    invalidates."""
+    ``(heavy_ids | None, salted_bool)``: ``heavy_ids=None`` means a
+    single lane and ``salted_bool`` whether it is salted; otherwise
+    ``salted_bool`` says whether the HEAVY lane runs the salted
+    reassembly's first phase (the light lane is salted only for
+    ``salted=True``).  ``heavy_lane_bytes="auto"`` runs the metadata
+    probe and, only when suspicious, the per-doc size census; an
+    explicit int threshold runs the census directly (the round-2
+    post-assembly ``materialize`` lane split is gone — lanes now filter
+    at the source).  Memoized per (spans table files, Ray job,
+    arguments) (``state/memo``), so repeated pipeline calls over one
+    table (bench, eval, the per-model queries, a checkpoint run and its
+    resume) probe/census once, and any rewrite invalidates."""
     if heavy_lane_bytes is None:
         return None, bool(salted)
     return memo(
@@ -82,13 +90,17 @@ def _resolve_heavy_ids_uncached(spans_path, heavy_lane_bytes, salted):
         )
     else:
         byte_t, span_t = int(heavy_lane_bytes), None
-    ids = skew.heavy_doc_ids(spans_path, byte_t, span_t)
-    if ids is None:
+    spans = skew.heavy_doc_spans(spans_path, byte_t, span_t)
+    if spans is None:
         # not a tail: everything qualifies -> uniformly salted pipeline
         return None, salted in (True, "auto")
-    if not ids:
+    if not spans:
         return None, salted is True
-    return ids, salted is True  # "auto": salt only the heavy lane
+    # offsets are dense from 0, so a doc spans more than one salt shard
+    # exactly when it has more than DEFAULT_SALT_RANGE spans
+    return list(spans), (
+        salted is not False and max(spans.values()) > DEFAULT_SALT_RANGE
+    )
 
 
 def _lane_rows(batch, partition, ids_ref, keep, salted):
@@ -124,7 +136,9 @@ def extraction_pipeline(
     balanced path (stages/skew.py).  ``heavy_lane_bytes`` accepts an
     explicit byte threshold (census runs directly), or None to force a
     single lane; ``salted`` accepts True (whole pipeline salted), False
-    (never), or "auto" (heavy lane only).  ``partition=(pids, P)`` keeps
+    (never), or "auto" (heavy lane only).  The heavy lane salts only
+    when a heavy doc has more than ``DEFAULT_SALT_RANGE`` spans; its
+    output is the same either way.  ``partition=(pids, P)`` keeps
     only the docs with ``partition_of(doc_id, P)`` in ``pids``; the
     routing decision is still made over the whole table, so it does not
     depend on which partitions are pending."""
@@ -135,7 +149,7 @@ def extraction_pipeline(
         raise ValueError(
             f"unknown extractor(s) {unknown}; available: {list_extractors()}"
         )
-    heavy_lane_salted = salted is not False  # explicit False wins everywhere
+    light_salted = salted is True
     heavy_ids, salted = _resolve_heavy_ids(spans_path, heavy_lane_bytes, salted)
 
     if partition is not None:
@@ -152,16 +166,19 @@ def extraction_pipeline(
             },
             batch_format="pyarrow",
         )
-        # salted: two-phase skew-resistant reassembly (same output) for
-        # inputs with pathological span-count tails (stages/reassemble.py)
-        if salted and keep:
-            # the heavy lane: phase 2's keys are the heavy docs, and a
-            # partition without one would still cost a (0-column) block
-            partials = co_partition(rows, partial_assemble_group)
+        if keep:
+            # the heavy lane: its keys are the heavy docs, and a partition
+            # without one would still cost a (0-column) block.  Salted,
+            # phase 1 first concatenates each (doc_id, salt) shard
+            # (stages/reassemble.py); either way the output is the same.
+            if salted:
+                rows = co_partition(rows, partial_assemble_group)
             return co_partition(
-                partials, assemble_group, key="doc_id",
+                rows, assemble_group, key="doc_id" if salted else None,
                 partitions=min(partition_count(), len(heavy_ids)),
             )
+        # salted: two-phase skew-resistant reassembly (same output) for
+        # inputs with pathological span-count tails (stages/reassemble.py)
         if salted:
             return assemble_salted(rows)
         # size-aware partitioning: the caller knows the table's on-disk
@@ -182,12 +199,12 @@ def extraction_pipeline(
     if not heavy_ids:
         return extract(lane(salted), PLAIN_BATCH)
     # Two-lane routing, split AT THE SOURCE by a broadcast id predicate:
-    # oversized docs go through a salted reassembly and a batch_size=1
+    # oversized docs go through their own reassembly and a batch_size=1
     # extract so a 50 MB pathological page never pins a plain-reassembly
     # bucket nor serializes a batch of 4 kB pages.  No materialization —
     # each lane is an independent streaming read; the heavy lane prunes
     # to a handful of docs immediately.
     ids_ref = ray.put(heavy_ids)
-    out_light = extract(lane(salted, ids_ref, keep=False), PLAIN_BATCH)
-    out_heavy = extract(lane(heavy_lane_salted, ids_ref, keep=True), HEAVY_BATCH)
+    out_light = extract(lane(light_salted, ids_ref, keep=False), PLAIN_BATCH)
+    out_heavy = extract(lane(salted, ids_ref, keep=True), HEAVY_BATCH)
     return out_light.union(out_heavy)

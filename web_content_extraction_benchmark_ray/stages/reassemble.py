@@ -166,6 +166,10 @@ def reassemble(ds, partitions: int | None = None):
 # (property-tested in tests/test_state.py).  Phase 2 re-uses
 # assemble_group verbatim: a partial is just a flat 'html' span whose
 # offset is its range's first offset; media spans pass through untouched.
+# Salting only helps a doc with more than ``salt_range`` spans (offsets
+# are dense from 0): the pipeline's heavy lane runs phase 1 only when a
+# heavy doc has that many, and otherwise goes straight to phase 2's
+# co-partition on doc_id (pipelines/extraction.py).
 
 DEFAULT_SALT_RANGE = 1 << 16
 

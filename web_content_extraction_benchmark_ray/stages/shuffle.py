@@ -161,7 +161,8 @@ def co_partition(ds, fn, key: str | None = None,
     without, the rows already carry a ``bucket`` column in
     ``[0, WIDE_SPACE)`` (a composite key hashed by ``wide_bucket``, or a
     bucket carried from an earlier co-location).  ``partitions``
-    defaults to ``partition_count()``.  ``fn`` gets a pyarrow table of
+    defaults to ``partition_count()``; ``partitions=1`` concatenates
+    every row into one block (no sort, so its rows keep arrival order).  ``fn`` gets a pyarrow table of
     whole keys and must group by its real key (see the module
     docstring); ``fn=None`` returns the co-located rows themselves (one
     block per partition) for a caller that reads them more than once."""
@@ -170,8 +171,13 @@ def co_partition(ds, fn, key: str | None = None,
             add_bucket, fn_kwargs={"key": key}, batch_format="pyarrow"
         )
     p = partitions or partition_count()
-    bounds = [WIDE_SPACE * i // p for i in range(1, p)]
-    located = ds.sort("bucket", boundaries=bounds)
+    if p == 1:
+        # a sort given no boundaries samples its own and cuts one
+        # partition per input block; one partition is a concatenation
+        located = ds.repartition(1)
+    else:
+        bounds = [WIDE_SPACE * i // p for i in range(1, p)]
+        located = ds.sort("bucket", boundaries=bounds)
     if fn is None:
         return located
     return located.map_batches(

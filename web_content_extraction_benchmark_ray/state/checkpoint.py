@@ -93,7 +93,7 @@ import ray.data
 
 from ..pipelines.extraction import extraction_pipeline
 from ..schema import EXTRACTIONS
-from ..sources.storage import table_files
+from ..sources.storage import read_spans, table_files
 from ..stages.extract import DEFAULT_MODELS
 from ..stages.skew import partition_ids
 from .memo import code_fingerprint, source_key
@@ -360,8 +360,10 @@ def committed_files(out_dir: str) -> list[str]:
 def read_output(out_dir: str):
     """Dataset over all completed partitions (``EXTRACTIONS`` rows; an
     empty Dataset of that schema when no committed partition holds a
-    file)."""
+    file).  The slice files are read through ``read_spans`` (2 blocks
+    per CPU): Ray's default ask splits many small files into more
+    blocks than the session runs at once."""
     files = committed_files(out_dir)
     if not files:
         return ray.data.from_arrow(EXTRACTIONS.empty_table())
-    return ray.data.read_parquet(files)
+    return read_spans(files)
