@@ -261,7 +261,7 @@ def test_census_split_doc_spans_several_read_blocks(ray_session, tmp_path):
 
 def _many_spans_rows():
     # one doc of 70,000 dense spans (more than DEFAULT_SALT_RANGE, so
-    # salting splits it into 2 shards), 10,000 spans per row
+    # salting would split it into 2 shards), 10,000 spans per row
     word = [("word ", i) for i in range(70_000)]
     return _healthy_rows() + [
         _row("many", word[i : i + 10_000]) for i in range(0, 70_000, 10_000)
@@ -269,7 +269,7 @@ def _many_spans_rows():
 
 
 def _few_spans_rows():
-    # one ~400 kB doc in 4 spans: byte-heavy, but a single salt shard
+    # one ~400 kB doc in 4 spans: byte-heavy, a single salt shard
     rows = _healthy_rows()
     for k in range(4):
         rows.insert(k * 30 + 15, _row("few", [(_QUARTER, k)]))
@@ -277,34 +277,25 @@ def _few_spans_rows():
 
 
 @pytest.mark.parametrize(
-    "rows, heavy, salted",
-    [(_many_spans_rows, "many", True), (_few_spans_rows, "few", False)],
+    "rows, heavy",
+    [(_many_spans_rows, "many"), (_few_spans_rows, "few")],
     ids=["more-spans-than-a-salt-shard", "byte-heavy-few-spans"],
 )
-def test_heavy_lane_salts_only_when_salting_splits_a_doc(
-    ray_session, tmp_path, rows, heavy, salted
-):
-    """The heavy lane runs the salted reassembly's first phase only when
-    a heavy doc has more than ``DEFAULT_SALT_RANGE`` spans: that run has
-    one sort more than the one-exchange lane (the light lane's sort, and
-    phase 1's; the single heavy doc's last exchange is one partition,
-    no sort).  Each lane's output equals the single-lane pipeline's."""
+def test_heavy_lane_is_one_exchange(ray_session, tmp_path, rows, heavy):
+    """The heavy lane reassembles with one exchange on doc_id and no
+    salted first phase, however many spans its doc has: the routed run
+    has one sort, the light lane's (the single heavy doc's exchange is
+    one partition, no sort).  Its output equals the single-lane
+    pipeline's."""
     from web_content_extraction_benchmark_ray.pipelines.extraction import (
         _resolve_heavy_ids,
         extraction_pipeline,
     )
-    from web_content_extraction_benchmark_ray.stages.reassemble import (
-        DEFAULT_SALT_RANGE,
-    )
-    from web_content_extraction_benchmark_ray.stages.skew import heavy_doc_spans
 
     path = str(tmp_path / "spans")
     _write(path, rows(), files=4)
     byte_t = 256 << 10
-    spans = heavy_doc_spans(path, byte_t)
-    assert list(spans) == [heavy]
-    assert (spans[heavy] > DEFAULT_SALT_RANGE) is salted
-    assert _resolve_heavy_ids(path, byte_t, "auto") == ([heavy], salted)
+    assert _resolve_heavy_ids(path, byte_t, "auto") == ([heavy], False)
 
     def norm(ds):
         return (
@@ -315,7 +306,7 @@ def test_heavy_lane_salts_only_when_salting_splits_a_doc(
 
     routed = extraction_pipeline(path, models=("bte",),
                                  heavy_lane_bytes=byte_t).materialize()
-    assert routed.stats().count("SortMap") == (2 if salted else 1)
+    assert routed.stats().count("SortMap") == 1
     plain = norm(extraction_pipeline(path, models=("bte",),
                                      heavy_lane_bytes=None))
     got = norm(routed)

@@ -229,14 +229,14 @@ def test_checkpoint_takes_the_pipeline_skew_route(
     )
 
     monkeypatch.setattr(memo, "_MEMO", {})
-    census = skew.heavy_doc_spans
+    census = skew.heavy_doc_ids
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return census(*args, **kwargs)
 
-    monkeypatch.setattr(skew, "heavy_doc_spans", counting)
+    monkeypatch.setattr(skew, "heavy_doc_ids", counting)
     out_dir = str(tmp_path / "ckpt")
     run_checkpointed(pathological_spans, out_dir, models=("bte",), num_partitions=4)
     assert len(calls) == 1

@@ -14,9 +14,7 @@ when it is suspicious, a per-doc size census name the oversized docs;
 those take a heavy lane, split from the plain lane at the source by a
 broadcast id predicate, with a batch_size=1 extract.  The heavy lane's
 reassembly is one exchange on doc_id, with one partition per heavy doc
-at most; it adds the salted reassembly's first phase only when some
-heavy doc has more spans than one salt shard holds
-(``DEFAULT_SALT_RANGE``), since only then can salting split a doc.
+at most.
 
 ``partition=(pids, P)`` restricts a run to a set of checkpoint
 partitions with a second source-side predicate (``filter_partition``),
@@ -33,12 +31,10 @@ import ray.data
 from ..sources.storage import read_spans, table_files
 from ..stages.extract import DEFAULT_MODELS, extract_batch
 from ..stages.reassemble import (
-    DEFAULT_SALT_RANGE,
     add_salt_bucket,
     assemble_group,
     assemble_salted,
     explode_spans,
-    partial_assemble_group,
 )
 from ..stages.shuffle import add_bucket, co_partition, partition_count
 from ..stages.skew import filter_doc_ids, filter_partition
@@ -50,15 +46,13 @@ HEAVY_BATCH = 1  # one oversized doc per extract call
 
 def _resolve_heavy_ids(spans_path, heavy_lane_bytes, salted):
     """Skew-routing decision (stages/skew.py).  Returns
-    ``(heavy_ids | None, salted_bool)``: ``heavy_ids=None`` means a
-    single lane and ``salted_bool`` whether it is salted; otherwise
-    ``salted_bool`` says whether the HEAVY lane runs the salted
-    reassembly's first phase (the light lane is salted only for
-    ``salted=True``).  ``heavy_lane_bytes="auto"`` runs the metadata
-    probe and, only when suspicious, the per-doc size census; an
-    explicit int threshold runs the census directly (the round-2
-    post-assembly ``materialize`` lane split is gone — lanes now filter
-    at the source).  Memoized per (spans table files, Ray job,
+    ``(heavy_ids | None, salted_bool)``; ``heavy_ids=None`` means single
+    lane, and ``salted_bool`` says whether that lane (or, with heavy
+    ids, the light lane) is salted.  ``heavy_lane_bytes="auto"`` runs
+    the metadata probe and, only when suspicious, the per-doc size
+    census; an explicit int threshold runs the census directly (the
+    round-2 post-assembly ``materialize`` lane split is gone — lanes now
+    filter at the source).  Memoized per (spans table files, Ray job,
     arguments) (``state/memo``), so repeated pipeline calls over one
     table (bench, eval, the per-model queries, a checkpoint run and its
     resume) probe/census once, and any rewrite invalidates."""
@@ -90,17 +84,13 @@ def _resolve_heavy_ids_uncached(spans_path, heavy_lane_bytes, salted):
         )
     else:
         byte_t, span_t = int(heavy_lane_bytes), None
-    spans = skew.heavy_doc_spans(spans_path, byte_t, span_t)
-    if spans is None:
+    ids = skew.heavy_doc_ids(spans_path, byte_t, span_t)
+    if ids is None:
         # not a tail: everything qualifies -> uniformly salted pipeline
         return None, salted in (True, "auto")
-    if not spans:
+    if not ids:
         return None, salted is True
-    # offsets are dense from 0, so a doc spans more than one salt shard
-    # exactly when it has more than DEFAULT_SALT_RANGE spans
-    return list(spans), (
-        salted is not False and max(spans.values()) > DEFAULT_SALT_RANGE
-    )
+    return ids, salted is True  # the heavy lane never salts
 
 
 def _lane_rows(batch, partition, ids_ref, keep, salted):
@@ -131,14 +121,13 @@ def extraction_pipeline(
 
     Skew routing is AUTOMATIC by default: a metadata-only probe of the
     spans table shortlists pathological byte/span tails, a census names
-    the heavy docs, and those route through a salted reassembly +
+    the heavy docs, and those route through a one-exchange reassembly +
     batch_size=1 extract lane while everything else takes the plain
     balanced path (stages/skew.py).  ``heavy_lane_bytes`` accepts an
     explicit byte threshold (census runs directly), or None to force a
-    single lane; ``salted`` accepts True (whole pipeline salted), False
-    (never), or "auto" (heavy lane only).  The heavy lane salts only
-    when a heavy doc has more than ``DEFAULT_SALT_RANGE`` spans; its
-    output is the same either way.  ``partition=(pids, P)`` keeps
+    single lane; ``salted`` accepts True (the single or light lane
+    salted), False (never), or "auto" (only a uniformly heavy corpus);
+    the heavy lane never salts.  ``partition=(pids, P)`` keeps
     only the docs with ``partition_of(doc_id, P)`` in ``pids``; the
     routing decision is still made over the whole table, so it does not
     depend on which partitions are pending."""
@@ -149,7 +138,6 @@ def extraction_pipeline(
         raise ValueError(
             f"unknown extractor(s) {unknown}; available: {list_extractors()}"
         )
-    light_salted = salted is True
     heavy_ids, salted = _resolve_heavy_ids(spans_path, heavy_lane_bytes, salted)
 
     if partition is not None:
@@ -168,13 +156,9 @@ def extraction_pipeline(
         )
         if keep:
             # the heavy lane: its keys are the heavy docs, and a partition
-            # without one would still cost a (0-column) block.  Salted,
-            # phase 1 first concatenates each (doc_id, salt) shard
-            # (stages/reassemble.py); either way the output is the same.
-            if salted:
-                rows = co_partition(rows, partial_assemble_group)
+            # without one would still cost a (0-column) block
             return co_partition(
-                rows, assemble_group, key="doc_id" if salted else None,
+                rows, assemble_group,
                 partitions=min(partition_count(), len(heavy_ids)),
             )
         # salted: two-phase skew-resistant reassembly (same output) for
@@ -205,6 +189,6 @@ def extraction_pipeline(
     # each lane is an independent streaming read; the heavy lane prunes
     # to a handful of docs immediately.
     ids_ref = ray.put(heavy_ids)
-    out_light = extract(lane(light_salted, ids_ref, keep=False), PLAIN_BATCH)
-    out_heavy = extract(lane(salted, ids_ref, keep=True), HEAVY_BATCH)
+    out_light = extract(lane(salted, ids_ref, keep=False), PLAIN_BATCH)
+    out_heavy = extract(lane(False, ids_ref, keep=True), HEAVY_BATCH)
     return out_light.union(out_heavy)

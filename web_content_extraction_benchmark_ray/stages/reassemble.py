@@ -166,10 +166,11 @@ def reassemble(ds, partitions: int | None = None):
 # (property-tested in tests/test_state.py).  Phase 2 re-uses
 # assemble_group verbatim: a partial is just a flat 'html' span whose
 # offset is its range's first offset; media spans pass through untouched.
-# Salting only helps a doc with more than ``salt_range`` spans (offsets
-# are dense from 0): the pipeline's heavy lane runs phase 1 only when a
-# heavy doc has that many, and otherwise goes straight to phase 2's
-# co-partition on doc_id (pipelines/extraction.py).
+# Salting only splits a doc with more than ``salt_range`` spans (offsets
+# are dense from 0), so the pipeline's heavy lane does not salt: it is
+# one co-partition on doc_id (pipelines/extraction.py).
+# ``extraction_pipeline(salted=True)`` and a uniformly heavy corpus use
+# this two-phase form.
 
 DEFAULT_SALT_RANGE = 1 << 16
 

@@ -162,10 +162,11 @@ def co_partition(ds, fn, key: str | None = None,
     ``[0, WIDE_SPACE)`` (a composite key hashed by ``wide_bucket``, or a
     bucket carried from an earlier co-location).  ``partitions``
     defaults to ``partition_count()``; ``partitions=1`` concatenates
-    every row into one block (no sort, so its rows keep arrival order).  ``fn`` gets a pyarrow table of
-    whole keys and must group by its real key (see the module
-    docstring); ``fn=None`` returns the co-located rows themselves (one
-    block per partition) for a caller that reads them more than once."""
+    every row into one block (no sort, so its rows keep arrival order).
+    ``fn`` gets a pyarrow table of whole keys and must group by its real
+    key (see the module docstring); ``fn=None`` returns the co-located
+    rows themselves (one block per partition) for a caller that reads
+    them more than once."""
     if key is not None:
         ds = ds.map_batches(
             add_bucket, fn_kwargs={"key": key}, batch_format="pyarrow"

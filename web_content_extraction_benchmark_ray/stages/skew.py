@@ -14,27 +14,25 @@ default pipeline self-routing, in three escalating steps:
    group's averages far above the corpus median; a healthy corpus shows
    ratio ~1 and the pipeline stays exactly on the single-lane fast path
    (the probe is the only cost — microseconds of footer reads).
-2. ``heavy_doc_spans`` — run ONLY when the probe is suspicious (or the
+2. ``heavy_doc_ids`` — run ONLY when the probe is suspicious (or the
    caller passes an explicit byte threshold): a shuffle-free Ray scan.
    Each read block is reduced to one (doc_id, html bytes, span count)
    row per doc it holds (``np.bincount`` over the list parent indices,
    then a pyarrow ``group_by`` sum inside the same read task), and the
    driver sums those partials with one more pyarrow ``group_by`` and
-   keeps the ids above threshold, each with its span count.  There is
-   no all-to-all: a sort or hash groupby would pay a mapper x reducer
-   exchange to move two ints per doc.  By the definition of a skew TAIL the heavy set is tiny; a
+   keeps the ids above threshold.  There is no all-to-all: a sort or
+   hash groupby would pay a mapper x reducer exchange to move two ints
+   per doc.  By the definition of a skew TAIL the heavy set is tiny; a
    cap guards the degenerate "everything is heavy" corpus, which is not
    skew and wants the uniformly-salted pipeline instead.
 3. Routing (pipelines/extraction.py): the heavy-id set is broadcast via
    ``ray.put`` and both lanes filter AT THE SOURCE with a vectorized
    ``pc.is_in`` predicate — the light lane takes the plain balanced
-   reassembly, the heavy lane takes a reassembly with one partition
-   per heavy doc at most plus a batch_size=1 extract.  The heavy lane
-   salts (``stages/reassemble.py``, phase 1 before that reassembly)
-   only when a heavy doc has more than ``DEFAULT_SALT_RANGE`` spans:
-   offsets are dense from 0, so a doc with fewer spans is one salt
-   shard, and phase 1 would only concatenate it at the cost of one
-   more exchange.  Nothing materializes: round 2's
+   reassembly, the heavy lane takes one exchange on doc_id (at most one
+   partition per heavy doc) plus a batch_size=1 extract.  It does not
+   salt: offsets are dense from 0, so salting would split only a doc of
+   more than ``DEFAULT_SALT_RANGE`` spans; for any other doc the salted
+   first phase only adds an exchange.  Nothing materializes: round 2's
    ``assembled.materialize()`` lane split is gone, replaced by two
    independent streaming reads of the (column-pruned) source.  Two
    scans of the input beat one materialization of the post-shuffle
@@ -216,17 +214,15 @@ def block_doc_sizes(block: pa.Table) -> pa.Table:
     return sum_by_doc(doc_size_partials(block))
 
 
-def heavy_doc_spans(
+def heavy_doc_ids(
     spans_path: str,
     byte_threshold: int,
     span_threshold: int | None = None,
-) -> dict[str, int] | None:
-    """Per-doc size census: the docs whose total html bytes >=
-    ``byte_threshold`` (or span count >= ``span_threshold``), as
-    ``{doc_id: span count}`` in id order, or None when more than
-    HEAVY_MAX_DOCS qualify (uniformly heavy corpus — route the WHOLE
-    pipeline salted instead).  The span counts decide whether the heavy
-    lane needs the salted reassembly's first phase at all.
+) -> list[str] | None:
+    """Per-doc size census; returns the sorted ids of docs whose total
+    html bytes >= ``byte_threshold`` (or span count >=
+    ``span_threshold``), or None when more than HEAVY_MAX_DOCS qualify
+    (uniformly heavy corpus — route the WHOLE pipeline salted instead).
 
     No shuffle: the read uses the pipeline's own block geometry
     (``read_spans``, 2 blocks per CPU), one fused task per block reduces
@@ -248,25 +244,15 @@ def heavy_doc_spans(
     )
     parts = [t for t in ray.get(refs) if t.num_rows]
     if not parts:
-        return {}
+        return []
     sizes = sum_by_doc(pa.concat_tables(parts))
     mask = pc.greater_equal(sizes["b"], int(byte_threshold))
     if span_threshold is not None:
         mask = pc.or_(mask, pc.greater_equal(sizes["s"], int(span_threshold)))
-    heavy = sizes.filter(mask)
-    if heavy.num_rows > HEAVY_MAX_DOCS:
+    heavy = sizes.filter(mask)["doc_id"].to_pylist()
+    if len(heavy) > HEAVY_MAX_DOCS:
         return None
-    return dict(sorted(zip(heavy["doc_id"].to_pylist(), heavy["s"].to_pylist())))
-
-
-def heavy_doc_ids(
-    spans_path: str,
-    byte_threshold: int,
-    span_threshold: int | None = None,
-) -> list[str] | None:
-    """The sorted ids of ``heavy_doc_spans``, or None when it is None."""
-    spans = heavy_doc_spans(spans_path, byte_threshold, span_threshold)
-    return None if spans is None else list(spans)
+    return sorted(heavy)
 
 
 def filter_doc_ids(batch: pa.Table, ids_ref, keep: bool) -> pa.Table:
