@@ -238,25 +238,128 @@ def test_census_matches_read_table_reference(
 
 def test_census_split_doc_spans_several_read_blocks(ray_session, tmp_path):
     """Pins the premise of the partials case: the split doc reaches the
-    driver as partials from at least 2 read blocks, none heavy alone."""
-    import ray
-
-    from web_content_extraction_benchmark_ray.sources.storage import read_spans
-    from web_content_extraction_benchmark_ray.stages.skew import block_doc_sizes
+    driver as partials from at least 2 census tasks, none heavy alone."""
+    from web_content_extraction_benchmark_ray.stages.skew import census_partials
 
     path = str(tmp_path / "spans")
     _write(path, _split_rows(), files=4)
-    refs = (
-        read_spans(path, columns=["doc_id", "spans"])
-        .map_batches(block_doc_sizes, batch_format="pyarrow", batch_size=None)
-        .to_arrow_refs()
-    )
     shares = [
-        r["b"] for t in ray.get(refs) for r in t.to_pylist()
+        r["b"] for t in census_partials(path) for r in t.to_pylist()
         if r["doc_id"] == "split"
     ]
     assert len(shares) >= 2
     assert max(shares) < 256 << 10 <= sum(shares)
+
+
+def test_census_plans_the_pipeline_read(ray_session, tmp_path, monkeypatch):
+    """The census reads the row-group units ``read_spans`` reads for the
+    same path and columns: one plan, one block geometry."""
+    from web_content_extraction_benchmark_ray.sources import storage
+    from web_content_extraction_benchmark_ray.stages.skew import heavy_doc_ids
+
+    plans = []
+
+    class Recording(storage.FooterSource):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append([t.read_fn.args for t in self.get_read_tasks(0)])
+
+    monkeypatch.setattr(storage, "FooterSource", Recording)
+    path = str(tmp_path / "spans")
+    _write(path, _split_rows(), files=4)
+    storage.read_spans(path, columns=["doc_id", "spans"])
+    assert heavy_doc_ids(path, 256 << 10) == ["split"]
+    assert len(plans) == 2 and len(plans[0]) == 4
+    assert plans[0] == plans[1]
+
+
+@pytest.mark.parametrize("files", [1, 4], ids=["one-task", "four-tasks"])
+def test_census_starts_no_ray_data_execution(
+    ray_session, tmp_path, monkeypatch, files
+):
+    """The census is plain Ray tasks over the footer plan: with Ray
+    Data's datasource read disabled it still answers the reference."""
+    import ray.data
+
+    from web_content_extraction_benchmark_ray.sources.storage import spans_source
+    from web_content_extraction_benchmark_ray.stages import skew
+
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("the census started a Ray Data read")
+
+    path = str(tmp_path / "spans")
+    _write(path, _split_rows(), files=files)
+    assert spans_source(path, ["doc_id", "spans"]).num_tasks == files
+    monkeypatch.setattr(ray.data, "read_datasource", no_dataset)
+    byte_t = 256 << 10
+    got = skew.heavy_doc_ids(path, byte_t, 4096)
+    assert got == _reference_heavy(path, byte_t, 4096, skew.HEAVY_MAX_DOCS)
+    assert got == ["split"]
+
+
+def _skew_tail_rows():
+    """The skew_tail shape: pages in 32-128 spans, rows shuffled, plus
+    one ~300 KiB page in a single span."""
+    import random
+
+    from web_content_extraction_benchmark_ray.sources import pagegen
+
+    rng = random.Random(7)
+    words = "a batch column data join key query row scan sort table".split()
+    rows = []
+    for d in range(121):
+        n_words = 30_000 if d == 120 else rng.randint(10, 100)
+        html = pagegen.render_page(d, " ".join(rng.choice(words) for _ in range(n_words)))
+        n = 1 if d == 120 else rng.randint(32, 128)
+        cuts = sorted(rng.sample(range(1, len(html)), n - 1))
+        bounds = [0, *cuts, len(html)]
+        rows += [
+            _row(str(d), [(html[bounds[i] : bounds[i + 1]], i)])
+            for i in range(n)
+        ]
+    rng.shuffle(rows)
+    return rows
+
+
+def test_routed_pipeline_logs_no_schema_warning(ray_session, tmp_path):
+    """A routed two-lane run on a skew_tail-shaped table logs no "RefBundle
+    with a different schema" warning: no lane passes on a 0-column
+    block.  The handler is first shown to catch the warning."""
+    import logging
+
+    import ray.data
+
+    from web_content_extraction_benchmark_ray.pipelines.extraction import (
+        _resolve_heavy_ids,
+        extraction_pipeline,
+    )
+
+    class Collect(logging.Handler):
+        def __init__(self):
+            super().__init__(logging.WARNING)
+            self.lines = []
+
+        def emit(self, record):
+            if "RefBundle with a different schema" in record.getMessage():
+                self.lines.append(record.getMessage())
+
+    path = str(tmp_path / "spans")
+    _write(path, _skew_tail_rows(), files=4)
+    assert _resolve_heavy_ids(path, "auto", "auto") == (["120"], False)
+    handler = Collect()
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(handler)
+    try:
+        ray.data.range(4, override_num_blocks=2).map_batches(
+            lambda b: {"x": b["id"]} if b["id"][0] else {"y": b["id"]}
+        ).materialize()
+        assert handler.lines
+        handler.lines.clear()
+        out = extraction_pipeline(path, models=("bte",)).to_pandas()
+    finally:
+        logger.removeHandler(handler)
+    assert handler.lines == []
+    assert len(out) == 121 and (out["error"] == "").all()
 
 
 def _many_spans_rows():

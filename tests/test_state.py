@@ -29,29 +29,31 @@ from web_content_extraction_benchmark_ray.sources.synth import build_spans_table
 SF = "/root/testdata/sf0.001"
 
 
-def _spans_ds(ray, rows):
+def _spans_table(rows):
     """rows: list of (doc_id, kind, text, media_ref, offset) scattered."""
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "doc_id": pa.array([r[0] for r in rows], pa.string()),
-                "spans": pa.array(
+    return pa.table(
+        {
+            "doc_id": pa.array([r[0] for r in rows], pa.string()),
+            "spans": pa.array(
+                [
                     [
-                        [
-                            {
-                                "kind": r[1],
-                                "text": r[2],
-                                "media_ref": r[3],
-                                "offset": r[4],
-                            }
-                        ]
-                        for r in rows
-                    ],
-                    pa.list_(SPAN_STRUCT),
-                ),
-            }
-        )
+                        {
+                            "kind": r[1],
+                            "text": r[2],
+                            "media_ref": r[3],
+                            "offset": r[4],
+                        }
+                    ]
+                    for r in rows
+                ],
+                pa.list_(SPAN_STRUCT),
+            ),
+        }
     )
+
+
+def _spans_ds(ray, rows):
+    return ray.data.from_arrow(_spans_table(rows))
 
 
 docs_strategy = st.lists(
@@ -887,6 +889,42 @@ def test_null_offset_raises_on_both_lanes(ray_session):
     for lane in (reassemble, reassemble_salted):
         with pytest.raises(Exception, match=error):
             lane(_spans_ds(ray_session, rows)).materialize()
+
+
+@pytest.mark.parametrize("field", ["kind", "text"])
+def test_null_span_field_raises_on_both_lanes_and_census(
+    ray_session, tmp_path, field
+):
+    """A null ``kind`` or ``text`` fails like a null offset, naming the
+    column and the first doc_id, in both lanes and in the census.  Left
+    through, a null text blanks its doc's html, a null kind drops the
+    doc, and the census sums a null text to a negative size, which
+    hides a heavy doc."""
+    import pyarrow.parquet as pq
+
+    from web_content_extraction_benchmark_ray.stages.reassemble import (
+        reassemble,
+        reassemble_salted,
+    )
+    from web_content_extraction_benchmark_ray.stages.skew import (
+        doc_size_partials,
+        heavy_doc_ids,
+    )
+
+    span = {"kind": "html", "text": "<p>x</p>", field: None}
+    rows = [("d0", "html", "<p>y</p>", "", 0),
+            ("d1", span["kind"], span["text"], "", 0)]
+    error = rf"1 span\(s\) have a null {field} \(first in doc_id 'd1'\)"
+    for lane in (reassemble, reassemble_salted):
+        with pytest.raises(Exception, match=error):
+            lane(_spans_ds(ray_session, rows)).materialize()
+    with pytest.raises(ValueError, match=error):
+        doc_size_partials(_spans_table(rows))
+    # the census runs plain Ray tasks: RayTaskError(ValueError) is a ValueError
+    path = str(tmp_path / "spans.parquet")
+    pq.write_table(_spans_table(rows), path)
+    with pytest.raises(ValueError, match=error):
+        heavy_doc_ids(path, 1)
 
 
 def test_resume_with_other_partition_count_raises(ray_session, tmp_path):

@@ -15,8 +15,9 @@ Format resolution:
 
 Spans tables and extraction output (the pipeline's hot reads) go
 through ``read_spans``, a ``FooterSource`` read planned from the
-parquet footers; ``read_table`` and ``capped_num_blocks`` serve the
-other families through ``ray.data.read_parquet``.
+parquet footers by ``spans_source`` (the skew census runs the same
+plan); ``read_table`` and ``capped_num_blocks`` serve the other
+families through ``ray.data.read_parquet``.
 """
 from __future__ import annotations
 
@@ -221,21 +222,28 @@ class FooterSource(ray.data.Datasource):
         return "Parquet"  # the operator stays ``ReadParquet``
 
 
-def read_spans(uri, columns=None, num_blocks: int | None = None):
-    """Read a spans/parquet table (a path, or a list of its parquet files)
-    with the session's block geometry, planned from the footers
-    (``FooterSource``).
+def spans_source(uri, columns=None, num_blocks: int | None = None) -> FooterSource:
+    """The footer read plan of a spans/parquet table (a path, or a list
+    of its parquet files) with the session's block geometry.
 
     ``num_blocks`` defaults to 2 per CPU: few enough that a shuffle's
     mapper x reducer fragment count stays small at small scale, enough to
-    keep every CPU busy.  A block is one or more whole row groups, so no
-    zero-row block is ever created.  The pipeline's reads, the skew
-    census, the extraction cache's reads and ``read_output`` all come
-    through here, so they share one rule."""
+    keep every CPU busy.  ``read_spans`` and the skew census
+    (``stages/skew.census_partials``) both plan here, so they read the
+    same blocks."""
     from ..stages.shuffle import session_cpus
 
     files = table_files(uri) if isinstance(uri, str) else list(uri)
-    source = FooterSource(files, columns, num_blocks or 2 * session_cpus())
+    return FooterSource(files, columns, num_blocks or 2 * session_cpus())
+
+
+def read_spans(uri, columns=None, num_blocks: int | None = None):
+    """Read a spans/parquet table as a Dataset of ``spans_source``'s
+    blocks.  A block is one or more whole row groups, so no zero-row
+    block is ever created.  The pipeline's reads, the extraction cache's
+    reads and ``read_output`` come through here; the skew census runs
+    the same plan's read tasks as plain Ray tasks, without a Dataset."""
+    source = spans_source(uri, columns, num_blocks)
     return ray.data.read_datasource(source, override_num_blocks=source.num_tasks)
 
 

@@ -44,29 +44,39 @@ def limit_arrow_threads() -> None:
         limit_arrow_threads._done = True
 
 
+def check_span_fields(flat, parents, doc_ids) -> None:
+    """Raise a ValueError naming the column and the first doc_id when a
+    span's ``kind``, ``text`` or ``offset`` is null (``flat``: the
+    flattened spans, ``parents``: each span's row, ``doc_ids``: each
+    row's doc_id).  Kind and text decide a span's side and bytes, offset
+    its order (dense and 0-based, FIXTURES.md §1); a null would drop or
+    blank its doc in ``assemble_group`` and hide it from the skew
+    census.  Both lanes, checkpoint partitions and the census pass
+    here, so a null fails the same way in each."""
+    for name in ("kind", "text", "offset"):
+        col = flat.field(name)
+        if col.null_count:
+            row = pc.filter(parents, pc.is_null(col))[0].as_py()
+            raise ValueError(
+                f"{col.null_count} span(s) have a null {name} "
+                f"(first in doc_id {doc_ids[row].as_py()!r})"
+            )
+
+
 def explode_spans(batch: pa.Table) -> pa.Table:
     spans = batch.column("spans")
     if isinstance(spans, pa.ChunkedArray):
         spans = spans.combine_chunks()
     flat = pc.list_flatten(spans)
     parents = pc.list_parent_indices(spans)
-    doc_id = pc.take(batch.column("doc_id"), parents)
-    offset = flat.field("offset")
-    if offset.null_count:
-        # offset is dense and 0-based (FIXTURES.md §1); both lanes and
-        # checkpoint partitions pass here, so a null fails the same way
-        first = pc.filter(doc_id, pc.is_null(offset))[0].as_py()
-        raise ValueError(
-            f"{offset.null_count} span(s) have a null offset "
-            f"(first in doc_id {first!r})"
-        )
+    check_span_fields(flat, parents, batch.column("doc_id"))
     return pa.table(
         {
-            "doc_id": doc_id,
+            "doc_id": pc.take(batch.column("doc_id"), parents),
             "kind": flat.field("kind"),
             "text": flat.field("text"),
             "media_ref": flat.field("media_ref"),
-            "offset": offset,
+            "offset": flat.field("offset"),
         }
     )
 

@@ -15,16 +15,20 @@ default pipeline self-routing, in three escalating steps:
    ratio ~1 and the pipeline stays exactly on the single-lane fast path
    (the probe is the only cost — microseconds of footer reads).
 2. ``heavy_doc_ids`` — run ONLY when the probe is suspicious (or the
-   caller passes an explicit byte threshold): a shuffle-free Ray scan.
-   Each read block is reduced to one (doc_id, html bytes, span count)
-   row per doc it holds (``np.bincount`` over the list parent indices,
-   then a pyarrow ``group_by`` sum inside the same read task), and the
-   driver sums those partials with one more pyarrow ``group_by`` and
-   keeps the ids above threshold.  There is no all-to-all: a sort or
-   hash groupby would pay a mapper x reducer exchange to move two ints
-   per doc.  By the definition of a skew TAIL the heavy set is tiny; a
-   cap guards the degenerate "everything is heavy" corpus, which is not
-   skew and wants the uniformly-salted pipeline instead.
+   caller passes an explicit byte threshold): a shuffle-free census run
+   as plain Ray tasks, one per read task of the pipeline's own footer
+   plan (``storage.spans_source``, 2 blocks per CPU).  Each task reduces
+   its block to one (doc_id, html bytes, span count) row per doc it
+   holds (``np.bincount`` over the list parent indices, then a pyarrow
+   ``group_by`` sum), and the driver sums those partials with one more
+   pyarrow ``group_by`` and keeps the ids above threshold.  There is no
+   Ray Data job: its executor start (about 60 ms at 1 CPU) would be most
+   of the census's cost, a constant paid on every suspicious table.
+   There is no all-to-all either: a sort or hash groupby would pay a
+   mapper x reducer exchange to move two ints per doc.  By the
+   definition of a skew TAIL the heavy set is tiny; a cap guards the
+   degenerate "everything is heavy" corpus, which is not skew and wants
+   the uniformly-salted pipeline instead.
 3. Routing (pipelines/extraction.py): the heavy-id set is broadcast via
    ``ray.put`` and both lanes filter AT THE SOURCE with a vectorized
    ``pc.is_in`` predicate — the light lane takes the plain balanced
@@ -58,6 +62,9 @@ import zlib
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from .reassemble import check_span_fields
 
 # --- probe thresholds -------------------------------------------------
 # The probe only SHORTLISTS: a false positive costs one size scan that
@@ -174,12 +181,14 @@ def _sampled_row_tail_suspect(files: list[str]) -> bool:
 def doc_size_partials(batch: pa.Table) -> pa.Table:
     """(doc_id, spans) rows -> per-ROW (doc_id, html bytes, span count)
     partials, fully vectorized (docs chunked across rows are summed by
-    ``sum_by_doc``)."""
+    ``sum_by_doc``).  A null span field raises like ``explode_spans``."""
     spans = batch.column("spans")
     if isinstance(spans, pa.ChunkedArray):
         spans = spans.combine_chunks()
     flat = pc.list_flatten(spans)
-    parents = pc.list_parent_indices(spans).to_numpy(zero_copy_only=False)
+    parents = pc.list_parent_indices(spans)
+    check_span_fields(flat, parents, batch.column("doc_id"))
+    parents = parents.to_numpy(zero_copy_only=False)
     tlen = pc.binary_length(flat.field("text")).to_numpy(
         zero_copy_only=False
     ).astype(np.int64)
@@ -214,6 +223,26 @@ def block_doc_sizes(block: pa.Table) -> pa.Table:
     return sum_by_doc(doc_size_partials(block))
 
 
+@ray.remote
+def _census_task(read_task) -> pa.Table:
+    """Run one read task of the census plan and reduce each block it
+    yields with ``block_doc_sizes``."""
+    return pa.concat_tables([block_doc_sizes(b) for b in read_task()])
+
+
+def census_partials(spans_path: str) -> list[pa.Table]:
+    """The census's per-task (doc_id, b, s) partials: one plain Ray task
+    per read task of the pipeline's own footer plan
+    (``storage.spans_source``, 2 blocks per CPU, pruned to doc_id and
+    spans).  A doc whose rows sit in several blocks has a partial in
+    each."""
+    from ..sources.storage import spans_source
+
+    source = spans_source(spans_path, ["doc_id", "spans"])
+    tasks = source.get_read_tasks(source.num_tasks)
+    return ray.get([_census_task.remote(t) for t in tasks])
+
+
 def heavy_doc_ids(
     spans_path: str,
     byte_threshold: int,
@@ -224,25 +253,14 @@ def heavy_doc_ids(
     ``span_threshold``), or None when more than HEAVY_MAX_DOCS qualify
     (uniformly heavy corpus — route the WHOLE pipeline salted instead).
 
-    No shuffle: the read uses the pipeline's own block geometry
-    (``read_spans``, 2 blocks per CPU), one fused task per block reduces
-    it to per-doc sums (``block_doc_sizes``), and the driver fetches
-    those partials and sums them with ``sum_by_doc``.  The driver holds
-    at most docs x blocks rows of (string, int64, int64) — for the
-    largest table served here (sf0.1, 5,000 docs, 8 blocks on 4 CPUs)
-    that is 40,000 short rows, well under 1 MB.  The dominant cost is
-    the one extra column scan, paid only when the metadata probe was
+    Plain Ray tasks, no Dataset and no shuffle: the driver fetches
+    ``census_partials`` and sums them with ``sum_by_doc``.  The driver
+    holds at most docs x blocks rows of (string, int64, int64) —
+    for the largest table served here (sf0.1, 5,000 docs, 8 blocks on 4
+    CPUs) that is 40,000 short rows, well under 1 MB.  The dominant cost
+    is the one extra column scan, paid only when the metadata probe was
     suspicious."""
-    import ray
-
-    from ..sources.storage import read_spans
-
-    refs = (
-        read_spans(spans_path, columns=["doc_id", "spans"])
-        .map_batches(block_doc_sizes, batch_format="pyarrow", batch_size=None)
-        .to_arrow_refs()
-    )
-    parts = [t for t in ray.get(refs) if t.num_rows]
+    parts = [t for t in census_partials(spans_path) if t.num_rows]
     if not parts:
         return []
     sizes = sum_by_doc(pa.concat_tables(parts))
